@@ -37,6 +37,7 @@
 use le_drift::presets::{nanoconfinement, shift_nano};
 use le_drift::{AxisDrift, DriftSchedule, DriftWave};
 use le_faults::{FaultPlan, FaultRates, FaultySimulator};
+use le_linalg::Fnv;
 use le_mdsim::nanoconfinement::NanoParams;
 use le_serve::{serve, Arrival, LoadConfig, LoopMode, ServeConfig, SizeClass, TenantQuota};
 use learning_everywhere::surrogate::{NnSurrogate, SurrogateConfig};
@@ -90,32 +91,6 @@ impl Simulator for ServeSim {
     fn simulate(&self, input: &[f64], _seed: u64) -> learning_everywhere::Result<Vec<f64>> {
         let (x, y, z) = (input[0], input[1], input[2]);
         Ok(vec![(0.7 * x).sin() * (0.4 * y).cos() + 0.1 * z])
-    }
-}
-
-/// FNV-1a over the campaign's observable behaviour.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
     }
 }
 
@@ -176,7 +151,7 @@ fn rmse(errs: &[f64]) -> f64 {
 }
 
 fn main() {
-    let mut digest = Digest::new();
+    let mut digest = Fnv::new();
     let schedule = nanoconfinement(0xD21F_7, WARMUP, SPAN);
 
     // The drifted query stream, fixed up front: point t is a narrow-slab
@@ -597,7 +572,7 @@ fn main() {
         digest.str(name);
         digest.u64(snap.counter(name).unwrap_or(0));
     }
-    println!("digest 0x{:016x}", digest.0);
+    println!("digest 0x{:016x}", digest.finish());
 
     match le_obs::write_snapshot("drift_campaign") {
         Ok(p) => println!("wrote {}", p.display()),

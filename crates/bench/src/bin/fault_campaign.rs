@@ -20,6 +20,7 @@
 //! ```
 
 use le_faults::{FaultPlan, FaultRates, FaultySimulator};
+use le_linalg::Fnv;
 use le_sched::{simulate_with, Policy, SimOptions, Workload, WorkloadConfig};
 use learning_everywhere::surrogate::SurrogateConfig;
 use learning_everywhere::{HybridConfig, HybridEngine, Simulator, SupervisorConfig};
@@ -42,32 +43,6 @@ impl Simulator for FanoutSimulator {
             (x * 0.01).sin()
         });
         Ok(vec![parts.iter().sum::<f64>() / 64.0])
-    }
-}
-
-/// FNV-1a over the campaign's observable behaviour.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
     }
 }
 
@@ -138,7 +113,7 @@ fn main() {
         }
     };
 
-    let mut digest = Digest::new();
+    let mut digest = Fnv::new();
     let n_queries = 64u64;
     let mut served = 0u64;
     // Queries flow through the batched gate in waves of 16: by the
@@ -233,7 +208,7 @@ fn main() {
         digest.u64(snap.counter(name).unwrap_or(0));
     }
     println!("degraded state: {:?}", engine.supervisor().state());
-    println!("digest 0x{:016x}", digest.0);
+    println!("digest 0x{:016x}", digest.finish());
 
     match le_obs::write_snapshot("fault_campaign") {
         Ok(p) => println!("wrote {}", p.display()),

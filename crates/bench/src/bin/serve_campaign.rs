@@ -20,6 +20,7 @@
 //! LE_POOL_THREADS=4 cargo run --release -p le-bench --bin serve_campaign
 //! ```
 
+use le_linalg::Fnv;
 use le_serve::{serve, Arrival, LoadConfig, LoopMode, ServeConfig, SizeClass, TenantQuota};
 use learning_everywhere::surrogate::SurrogateConfig;
 use learning_everywhere::{HybridConfig, HybridEngine, QuerySource, Simulator};
@@ -39,32 +40,6 @@ impl Simulator for SyntheticSimulator {
     fn simulate(&self, input: &[f64], _seed: u64) -> learning_everywhere::Result<Vec<f64>> {
         let (x, y, z) = (input[0], input[1], input[2]);
         Ok(vec![(0.7 * x).sin() * (0.4 * y).cos() + 0.1 * z])
-    }
-}
-
-/// FNV-1a over the campaign's observable behaviour.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
     }
 }
 
@@ -170,7 +145,7 @@ fn main() {
     // Fold the deterministic surface: workload identity, every response
     // in sequence order (outputs bit-exact, rejections by their typed
     // message), then the serve/engine/supervisor counters.
-    let mut digest = Digest::new();
+    let mut digest = Fnv::new();
     digest.u64(workload.digest());
     for resp in &report.responses {
         digest.u64(resp.seq);
@@ -243,7 +218,7 @@ fn main() {
         report.rows_served as f64 / wall.max(1e-9),
         wall
     );
-    println!("digest 0x{:016x}", digest.0);
+    println!("digest 0x{:016x}", digest.finish());
 
     match le_obs::write_snapshot("serve_campaign") {
         Ok(p) => println!("wrote {}", p.display()),

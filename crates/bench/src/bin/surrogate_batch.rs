@@ -31,26 +31,11 @@
 
 use le_bench::timing::Harness;
 use le_bench::{nano_dataset, nano_surrogate, BENCH_SEED};
-use le_linalg::Rng;
+use le_linalg::{Fnv, Rng};
 use le_mdsim::nanoconfinement::NanoParams;
 use le_nn::{Activation, Scaler};
 use learning_everywhere::surrogate::NnSurrogate;
 use std::time::Instant;
-
-/// FNV-1a over the observable outputs (same scheme as `fault_campaign`).
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn f64(&mut self, v: f64) {
-        for b in v.to_bits().to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// Frozen replica of the pre-batch-engine `NnSurrogate` query path, built
 /// from a trained surrogate's weights and scalers. Faithful to the seed
@@ -226,7 +211,7 @@ fn main() {
     // Determinism digest before any timed work: deterministic batch outputs
     // plus one fused MC-dropout evaluation at ordinals 0..64 on a fresh
     // clone (so bench iteration counts cannot shift the mask streams).
-    let mut digest = Digest::new();
+    let mut digest = Fnv::new();
     let det = surrogate.predict_batch(&probes[..64]).expect("probe rows");
     for row in &det {
         for &v in row {
@@ -420,7 +405,7 @@ fn main() {
     println!("single_vs_batch64_ratio {:.2}", med(&mut r64));
     println!("single_vs_batch256_ratio {:.2}", med(&mut r256));
     println!("mc_single_vs_batch64_ratio {:.2}", med(&mut rmc));
-    println!("digest 0x{:016x}", digest.0);
+    println!("digest 0x{:016x}", digest.finish());
 
     harness.finish("surrogate_batch");
 }

@@ -13,8 +13,6 @@ use le_mdsim::nanoconfinement::NanoParams;
 use le_mdsim::{NanoSim, SimConfig};
 use learning_everywhere::surrogate::{NnSurrogate, SurrogateConfig};
 
-pub use le_obs::json;
-
 pub mod timing;
 
 /// Standard seed for all benches (fixtures must be identical across runs).

@@ -218,7 +218,7 @@ pub struct BenchDoc {
 /// measurements. Returns `None` if the document is not valid JSON or does
 /// not have the `BENCH_*.json` shape.
 pub fn parse_bench_json(doc: &str) -> Option<BenchDoc> {
-    let v = crate::json::parse(doc)?;
+    let v = le_obs::json::parse(doc)?;
     let bench = v.get("bench")?.as_str()?.to_string();
     let samples = v.get("samples")?.as_usize()?;
     let mut entries = Vec::new();
@@ -416,7 +416,7 @@ mod tests {
         // finish() must also have dropped an OBS snapshot next to it.
         let obs_path = format!("{dir}/OBS_bench_{name}.json");
         let obs_body = std::fs::read_to_string(&obs_path).unwrap();
-        assert!(crate::json::parse(&obs_body).is_some(), "OBS snapshot must be valid JSON");
+        assert!(le_obs::json::parse(&obs_body).is_some(), "OBS snapshot must be valid JSON");
         for p in [path, obs_path.clone(), obs_path.replace(".json", ".txt")] {
             let _ = std::fs::remove_file(p);
         }

@@ -132,11 +132,10 @@ pub struct HybridEngine<S: Simulator> {
     surrogate: Option<NnSurrogate>,
     buffer_x: Vec<Vec<f64>>,
     buffer_y: Vec<Vec<f64>>,
-    runs_at_last_fit: usize,
+    /// `runs_seen` at the last fit attempt that counts toward growth.
+    runs_at_last_fit: u64,
     accounting: CampaignAccounting,
     seed_counter: u64,
-    n_lookups: u64,
-    n_simulations: u64,
     failed_retrains: u64,
     /// Bumped every time a freshly trained surrogate is installed; the
     /// batched query path uses it to invalidate gate predictions cached
@@ -159,6 +158,17 @@ pub struct HybridEngine<S: Simulator> {
     rolling_swaps: u64,
     rolling_deferrals: u64,
     rolling_evictions: u64,
+}
+
+/// The cached gate predictions for the current wave: filled by one fused
+/// evaluation over all remaining rows, consumed per row, and dropped as soon
+/// as the surrogate that produced it is replaced (generation bump) — a stale
+/// prediction is never served.
+struct Wave {
+    preds: Vec<le_uq::Prediction>,
+    base: usize,
+    generation: u64,
+    per_row_secs: f64,
 }
 
 impl<S: Simulator> HybridEngine<S> {
@@ -198,8 +208,6 @@ impl<S: Simulator> HybridEngine<S> {
             runs_at_last_fit: 0,
             accounting: CampaignAccounting::new(),
             seed_counter: 0,
-            n_lookups: 0,
-            n_simulations: 0,
             failed_retrains: 0,
             surrogate_generation: 0,
             supervisor: Supervisor::new(supervision)?,
@@ -290,12 +298,12 @@ impl<S: Simulator> HybridEngine<S> {
 
     /// Number of queries served from the surrogate.
     pub fn n_lookups(&self) -> u64 {
-        self.n_lookups
+        self.accounting.n_lookup()
     }
 
     /// Number of queries that ran the simulator.
     pub fn n_simulations(&self) -> u64 {
-        self.n_simulations
+        self.accounting.n_train()
     }
 
     /// Size of the training buffer.
@@ -389,7 +397,8 @@ impl<S: Simulator> HybridEngine<S> {
         self.query_rows_inner(inputs, true)?.into_iter().collect()
     }
 
-    /// The gated wave loop behind both entry points.
+    /// The gated wave loop behind both entry points: per row, gate →
+    /// lookup or simulate → staleness feed; then the wave boundary.
     fn query_rows_inner(
         &mut self,
         inputs: &[&[f64]],
@@ -404,16 +413,6 @@ impl<S: Simulator> HybridEngine<S> {
                 )));
             }
         }
-        // The cached gate predictions for the current wave: filled by one
-        // fused evaluation over all remaining rows, consumed per row, and
-        // dropped as soon as the surrogate that produced it is replaced
-        // (generation bump) — a stale prediction is never served.
-        struct Wave {
-            preds: Vec<le_uq::Prediction>,
-            base: usize,
-            generation: u64,
-            per_row_secs: f64,
-        }
         let mut wave: Option<Wave> = None;
         let mut results = Vec::with_capacity(inputs.len());
         for (i, input) in inputs.iter().enumerate() {
@@ -423,121 +422,41 @@ impl<S: Simulator> HybridEngine<S> {
             // gate evaluation nests under the root of the row that starts
             // the wave.
             let _trace = le_obs::trace_root!("hybrid.query");
-            // Gate on the surrogate's uncertainty — but only while the
-            // supervisor trusts it (a quarantined or degraded surrogate is
-            // never consulted). A non-finite prediction or std — or an
-            // evaluate-time model error or panic — is a gate anomaly:
-            // counted, reported to the supervisor, and answered by falling
-            // through to the simulator rather than failing the query.
-            let mut gate_std = None;
-            let mut gate_pred: Option<le_uq::Prediction> = None;
-            let mut served = None;
             // Audit sampling (rolling mode): every Nth query by serial
             // index is simulated even if the gate would admit it — the
             // ground truth the staleness detector and the rolling buffer
             // need when an extrapolating surrogate is overconfident. The
             // decision is a pure function of the index: thread-invariant.
-            let audit = self
-                .rolling
-                .map_or(false, |c| c.audit_every > 0 && self.queries_seen % c.audit_every == 0);
+            let audit = self.rolling.is_some_and(|c| {
+                c.audit_every > 0 && self.queries_seen.is_multiple_of(c.audit_every)
+            });
             self.queries_seen += 1;
-            if self.supervisor.trusts_surrogate() && self.surrogate.is_some() {
-                let stale = wave
-                    .as_ref()
-                    .map_or(true, |w| w.generation != self.surrogate_generation);
-                if stale {
-                    wave = None;
-                    let _t = le_obs::trace_span!("hybrid.lookup");
-                    // Timed with a bare stopwatch, NOT a timed_span: the
-                    // `hybrid.lookup` span must mirror the accounting (one
-                    // record per *admitted* lookup — the conformance suite
-                    // pins this), so the fused cost is recorded below,
-                    // amortized, as each admitted row consumes its share.
-                    let sw = le_obs::Stopwatch::start();
-                    let remaining = &inputs[i..];
-                    let surrogate = self
-                        .surrogate
-                        .as_mut()
-                        .expect("checked is_some above"); // lint:allow(no-panic): guarded by the is_some() check above
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        surrogate.predict_with_uncertainty_rows(remaining)
-                    })) {
-                        Ok(Ok(preds)) => {
-                            wave = Some(Wave {
-                                preds,
-                                base: i,
-                                generation: self.surrogate_generation,
-                                per_row_secs: sw.elapsed_secs() / remaining.len() as f64,
-                            });
-                        }
-                        Ok(Err(_)) | Err(_) => {
-                            le_obs::counter!("gate.model_error").inc();
-                            self.supervisor.note_gate_anomaly();
-                        }
-                    }
-                }
-                if let Some(w) = wave.as_ref() {
-                    let pred = &w.preds[i - w.base];
-                    let finite = pred.mean.iter().all(|v| v.is_finite())
-                        && pred.std.iter().all(|v| v.is_finite());
-                    if finite {
-                        self.supervisor.note_gate_ok();
-                        let std = pred.max_std();
-                        gate_std = Some(std);
-                        if self.staleness.is_some() {
-                            gate_pred = Some(pred.clone());
-                        }
-                        if std < self.config.uncertainty_threshold && audit {
-                            // The gate would have admitted this row; the
-                            // audit cadence diverts it to the simulator.
-                            le_obs::counter!("hybrid.audit.simulated").inc();
-                        } else if std < self.config.uncertainty_threshold {
-                            self.accounting.record_lookup(w.per_row_secs);
-                            le_obs::global()
-                                .span("hybrid.lookup")
-                                .record_ns((w.per_row_secs * 1e9) as u64);
-                            self.n_lookups += 1;
-                            le_obs::counter!("hybrid.lookups").inc();
-                            served = Some(QueryResult {
-                                output: pred.mean.clone(),
-                                source: QuerySource::Lookup,
-                                gate_std,
-                            });
-                        }
-                    } else {
-                        le_obs::counter!("gate.nonfinite").inc();
-                        self.supervisor.note_gate_anomaly();
-                    }
-                }
-            }
-            let result = match served {
-                Some(r) => Ok(r),
-                None => self.simulate_supervised(input, gate_std),
-            };
-            // Drift watch: every finite gate std feeds the sliding window,
-            // and a gated-then-simulated row contributes a labelled
-            // (prediction, truth) pair for the calibration check. A flag
-            // raises the typed Stale anomaly through the supervisor and
-            // requests a retrain at the wave boundary below — it never
-            // fails or reroutes the query itself.
-            if let Some(det) = self.staleness.as_mut() {
-                if let Some(std) = gate_std {
-                    det.note_gate_std(std);
-                }
-                if let (Some(pred), Ok(r)) = (gate_pred, &result) {
-                    if r.source == QuerySource::Simulated {
-                        det.note_labelled(pred, r.output.clone());
-                    }
-                }
-                if let Some(signal) = det.check() {
-                    le_obs::counter!("staleness.flagged").inc();
+            let gated = self.consult_gate(inputs, i, &mut wave);
+            let gate_std = gated.map(|(pred, _)| pred.max_std());
+            let admit = gate_std.is_some_and(|std| std < self.config.uncertainty_threshold);
+            let result = match gated {
+                Some((pred, secs)) if admit && !audit => {
+                    self.accounting.record_lookup(secs);
                     le_obs::global()
-                        .counter(&format!("staleness.{}", signal.kind()))
-                        .inc();
-                    self.supervisor.note_staleness(signal.to_error());
-                    self.retrain_pending = true;
+                        .span("hybrid.lookup")
+                        .record_ns((secs * 1e9) as u64);
+                    le_obs::counter!("hybrid.lookups").inc();
+                    Ok(QueryResult {
+                        output: pred.mean.clone(),
+                        source: QuerySource::Lookup,
+                        gate_std,
+                    })
                 }
-            }
+                _ => {
+                    if admit {
+                        // The gate would have admitted this row; the
+                        // audit cadence diverts it to the simulator.
+                        le_obs::counter!("hybrid.audit.simulated").inc();
+                    }
+                    self.simulate_supervised(input, gate_std)
+                }
+            };
+            self.feed_staleness(gated.map(|(pred, _)| pred), &result);
             let failed = result.is_err();
             results.push(result);
             if failed && stop_on_error {
@@ -545,9 +464,9 @@ impl<S: Simulator> HybridEngine<S> {
             }
             // With `stop_on_error` off, a failed row leaves the wave cache
             // untouched: failed simulations never retrain, and the
-            // generation check above already guards every other staleness
-            // path — the next row consults exactly the predictions it
-            // would have seen sequentially.
+            // generation check in `consult_gate` already guards every
+            // other staleness path — the next row consults exactly the
+            // predictions it would have seen sequentially.
         }
         // The deterministic wave boundary: a retrain that was deferred
         // mid-wave (rolling mode) or requested by the staleness detector
@@ -557,96 +476,164 @@ impl<S: Simulator> HybridEngine<S> {
         Ok(results)
     }
 
+    /// Consult the gate for row `i` — but only while the supervisor trusts
+    /// a surrogate (a quarantined or degraded one is never consulted).
+    /// When the surrogate changed since the wave cache was filled, one
+    /// fused MC-dropout evaluation over all remaining rows refills it.
+    /// Returns row `i`'s prediction and its amortized share of the fused
+    /// cost. A non-finite prediction or std — or an evaluate-time model
+    /// error or panic — is a gate anomaly: counted, reported to the
+    /// supervisor, and answered with `None`, so the row falls through to
+    /// the simulator rather than failing the query.
+    fn consult_gate<'w>(
+        &mut self,
+        inputs: &[&[f64]],
+        i: usize,
+        wave: &'w mut Option<Wave>,
+    ) -> Option<(&'w le_uq::Prediction, f64)> {
+        if !self.supervisor.trusts_surrogate() {
+            return None;
+        }
+        let surrogate = self.surrogate.as_mut()?;
+        if wave
+            .as_ref()
+            .is_none_or(|w| w.generation != self.surrogate_generation)
+        {
+            *wave = None;
+            let _t = le_obs::trace_span!("hybrid.lookup");
+            // Timed with a bare stopwatch, NOT a timed_span: the
+            // `hybrid.lookup` span must mirror the accounting (one record
+            // per *admitted* lookup — the conformance suite pins this), so
+            // the fused cost is recorded by the caller, amortized, as each
+            // admitted row consumes its share.
+            let sw = le_obs::Stopwatch::start();
+            let remaining = &inputs[i..];
+            match catch_unwind(AssertUnwindSafe(|| {
+                surrogate.predict_with_uncertainty_rows(remaining)
+            })) {
+                Ok(Ok(preds)) => {
+                    *wave = Some(Wave {
+                        preds,
+                        base: i,
+                        generation: self.surrogate_generation,
+                        per_row_secs: sw.elapsed_secs() / remaining.len() as f64,
+                    });
+                }
+                Ok(Err(_)) | Err(_) => {
+                    le_obs::counter!("gate.model_error").inc();
+                    self.supervisor.note_gate_anomaly();
+                }
+            }
+        }
+        let w = wave.as_ref()?;
+        let pred = &w.preds[i - w.base];
+        if pred.mean.iter().chain(&pred.std).all(|v| v.is_finite()) {
+            self.supervisor.note_gate_ok();
+            Some((pred, w.per_row_secs))
+        } else {
+            le_obs::counter!("gate.nonfinite").inc();
+            self.supervisor.note_gate_anomaly();
+            None
+        }
+    }
+
+    /// Drift watch: every finite gate std feeds the sliding window, and a
+    /// gated-then-simulated row contributes a labelled (prediction, truth)
+    /// pair for the calibration check. A flag raises the typed Stale
+    /// anomaly through the supervisor and requests a retrain at the wave
+    /// boundary — it never fails or reroutes the query itself.
+    fn feed_staleness(&mut self, gated: Option<&le_uq::Prediction>, result: &Result<QueryResult>) {
+        let Some(det) = self.staleness.as_mut() else {
+            return;
+        };
+        if let Some(pred) = gated {
+            det.note_gate_std(pred.max_std());
+            if let Ok(r) = result {
+                if r.source == QuerySource::Simulated {
+                    det.note_labelled(pred.clone(), r.output.clone());
+                }
+            }
+        }
+        if let Some(signal) = det.check() {
+            le_obs::counter!("staleness.flagged").inc();
+            le_obs::global()
+                .counter(&format!("staleness.{}", signal.kind()))
+                .inc();
+            self.supervisor.note_staleness(signal.to_error());
+            self.retrain_pending = true;
+        }
+    }
+
     /// Execute a deferred retrain at the wave boundary, if one is pending.
     /// In rolling mode this is the snapshot *swap*: the freshly fitted
     /// surrogate (recency-weighted buffer) replaces the frozen one between
     /// waves, observable as `hybrid.rolling.swaps` and the
     /// `hybrid.rolling.swap` trace span.
     fn service_pending_retrain(&mut self) {
-        if !self.retrain_pending {
+        if !std::mem::take(&mut self.retrain_pending) {
             return;
         }
-        self.retrain_pending = false;
         if !self.supervisor.wants_retrain() || self.buffer_x.len() < 4 {
             return;
         }
         let _t = le_obs::trace_span!("hybrid.rolling.swap");
-        let outcome = if self.rolling.is_some() {
-            self.retrain_rolling()
-        } else {
-            self.retrain()
-        };
-        if outcome.is_ok() {
-            self.rolling_swaps += 1;
-            le_obs::counter!("hybrid.rolling.swaps").inc();
+        match self.fit(self.rolling.map_or(0, |c| c.recent_boost)) {
+            Ok(()) => {
+                self.rolling_swaps += 1;
+                le_obs::counter!("hybrid.rolling.swaps").inc();
+            }
+            // Already counted and reported to the supervisor inside `fit`;
+            // push the next attempt out by the growth factor.
+            Err(_) => self.runs_at_last_fit = self.runs_seen,
         }
-        // A failed boundary retrain was already counted and reported to
-        // the supervisor inside the retrain path; the next growth trigger
-        // (or staleness flag) retries.
     }
 
-    /// Rolling-mode fit: the bounded buffer plus a duplicated tail of the
-    /// newest `recent_boost` runs (recency weighting), marked against
-    /// `runs_seen` so growth triggers keep firing as the window slides.
-    fn retrain_rolling(&mut self) -> Result<()> {
-        let cfg = match self.rolling {
-            Some(c) => c,
-            None => return self.retrain(),
-        };
+    /// The one fit routine: the buffer plus a duplicated tail of its
+    /// newest `boost` runs (recency weighting, clamped to the buffer
+    /// length). A success installs the surrogate — accounting, generation
+    /// bump (wave invalidation), growth mark at `runs_seen`, supervisor
+    /// re-admission, staleness re-baseline. A failure, including a panic
+    /// inside training (e.g. a worker panic out of the trainer's pool
+    /// dispatch), is counted and reported to the supervisor's quarantine
+    /// path; whether it moves the growth mark is the caller's decision.
+    fn fit(&mut self, boost: usize) -> Result<()> {
         let n = self.buffer_x.len();
         if n < 4 {
             return Err(LeError::InsufficientData(format!("{n} buffered runs")));
         }
-        let boost = cfg.recent_boost.min(n);
-        let rows = n + boost;
-        let in_dim = self.simulator.input_dim();
-        let out_dim = self.simulator.output_dim();
-        let mut x = Matrix::zeros(rows, in_dim);
-        let mut y = Matrix::zeros(rows, out_dim);
-        for i in 0..n {
-            x.row_mut(i).copy_from_slice(&self.buffer_x[i]);
-            y.row_mut(i).copy_from_slice(&self.buffer_y[i]);
-        }
-        for (k, i) in (n - boost..n).enumerate() {
-            x.row_mut(n + k).copy_from_slice(&self.buffer_x[i]);
-            y.row_mut(n + k).copy_from_slice(&self.buffer_y[i]);
+        let boost = boost.min(n);
+        let mut x = Matrix::zeros(n + boost, self.simulator.input_dim());
+        let mut y = Matrix::zeros(n + boost, self.simulator.output_dim());
+        for (row, i) in (0..n).chain(n - boost..n).enumerate() {
+            x.row_mut(row).copy_from_slice(&self.buffer_x[i]);
+            y.row_mut(row).copy_from_slice(&self.buffer_y[i]);
         }
         let _t = le_obs::trace_span!("hybrid.retrain");
         let sp = le_obs::timed_span!("hybrid.retrain");
-        let cfg_s = &self.config.surrogate;
-        let fitted = catch_unwind(AssertUnwindSafe(|| NnSurrogate::fit(&x, &y, cfg_s)))
+        let cfg = &self.config.surrogate;
+        let fitted = catch_unwind(AssertUnwindSafe(|| NnSurrogate::fit(&x, &y, cfg)))
             .unwrap_or_else(|_| Err(LeError::Model("surrogate training panicked".into())));
         match fitted {
             Ok(surrogate) => {
-                let secs = sp.finish_secs();
-                self.install_surrogate(surrogate, secs, self.runs_seen as usize);
+                self.accounting.record_learning(sp.finish_secs());
+                self.surrogate = Some(surrogate);
+                self.surrogate_generation = self.surrogate_generation.wrapping_add(1);
+                self.runs_at_last_fit = self.runs_seen;
+                self.supervisor.note_retrain_success();
+                if let Some(det) = self.staleness.as_mut() {
+                    // The new model's uncertainty profile supersedes the old
+                    // baseline; stale evidence about the retired snapshot
+                    // would only re-fire spuriously.
+                    det.reset();
+                }
                 Ok(())
             }
             Err(e) => {
                 self.failed_retrains += 1;
                 le_obs::counter!("hybrid.retrain_errors").inc();
                 self.supervisor.note_retrain_failure(e.clone());
-                // Push the next rolling attempt out by the growth factor.
-                self.runs_at_last_fit = self.runs_seen as usize;
                 Err(e)
             }
-        }
-    }
-
-    /// Shared bookkeeping for installing a freshly fitted surrogate:
-    /// accounting, generation bump (wave invalidation), growth mark,
-    /// supervisor re-admission, and a staleness re-baseline.
-    fn install_surrogate(&mut self, surrogate: NnSurrogate, secs: f64, fit_mark: usize) {
-        self.accounting.record_learning(secs);
-        self.surrogate = Some(surrogate);
-        self.surrogate_generation = self.surrogate_generation.wrapping_add(1);
-        self.runs_at_last_fit = fit_mark;
-        self.supervisor.note_retrain_success();
-        if let Some(det) = self.staleness.as_mut() {
-            // The new model's uncertainty profile supersedes the old
-            // baseline; stale evidence about the retired snapshot would
-            // only re-fire spuriously.
-            det.reset();
         }
     }
 
@@ -703,7 +690,6 @@ impl<S: Simulator> HybridEngine<S> {
                     // triggered below appears as a sibling phase of the
                     // query, not a child of the sim.
                     drop(trace_sp);
-                    self.n_simulations += 1;
                     le_obs::counter!("hybrid.simulations").inc();
                     self.buffer_x.push(input.to_vec());
                     self.buffer_y.push(output.clone());
@@ -750,15 +736,17 @@ impl<S: Simulator> HybridEngine<S> {
         self.runs_seen += x.len() as u64;
         self.enforce_rolling_cap();
         if self.buffer_x.len() >= self.config.min_training_runs {
-            self.retrain()?;
+            self.fit(0)?;
         }
         Ok(())
     }
 
-    /// Retrain if due. Training failures do not fail the query that
-    /// triggered them — the simulated answer is still valid; the failure is
-    /// counted, surfaced through the supervisor's quarantine path (the
-    /// stale surrogate is no longer trusted; see
+    /// Retrain if due: the growth trigger counts total runs seen (the
+    /// capped rolling buffer plateaus, the inline buffer never evicts, so
+    /// one count serves both modes). Training failures do not fail the
+    /// query that triggered them — the simulated answer is still valid; the
+    /// failure is counted, surfaced through the supervisor's quarantine
+    /// path (the stale surrogate is no longer trusted; see
     /// [`Supervisor::last_retrain_error`] for the typed detail), and the
     /// next growth threshold retries. A Degraded engine stops retraining
     /// entirely.
@@ -766,37 +754,29 @@ impl<S: Simulator> HybridEngine<S> {
         if !self.supervisor.wants_retrain() {
             return;
         }
-        // Rolling mode counts total runs seen (the capped buffer length
-        // plateaus); legacy mode counts the unbounded buffer, exactly as
-        // before.
-        let n = if self.rolling.is_some() {
-            self.runs_seen as usize
-        } else {
-            self.buffer_x.len()
-        };
         let due = if self.surrogate.is_none() {
-            n >= self.config.min_training_runs
+            self.runs_seen >= self.config.min_training_runs as u64
         } else {
-            n as f64 >= self.runs_at_last_fit as f64 * self.config.retrain_growth
+            self.runs_seen as f64 >= self.runs_at_last_fit as f64 * self.config.retrain_growth
         };
         if !due {
             return;
         }
+        // The only place that knows the two timings. Rolling mode never
+        // retrains mid-wave: the in-flight wave keeps answering from the
+        // frozen snapshot and the swap happens at the wave boundary
+        // (`service_pending_retrain`). Inline mode fits now, so a later
+        // row of the same batch sees the new surrogate exactly as a later
+        // sequential query would.
         if self.rolling.is_some() {
-            // Never retrain mid-wave: the in-flight wave keeps answering
-            // from the frozen snapshot; the swap happens at the wave
-            // boundary (`service_pending_retrain`).
             if !self.retrain_pending {
                 self.retrain_pending = true;
                 self.rolling_deferrals += 1;
                 le_obs::counter!("hybrid.rolling.deferred").inc();
             }
-            return;
-        }
-        if self.retrain().is_err() {
-            // Push the next attempt out by the growth factor. The
-            // supervisor transition was already noted inside `retrain`.
-            self.runs_at_last_fit = n;
+        } else if self.fit(0).is_err() {
+            // Push the next attempt out by the growth factor.
+            self.runs_at_last_fit = self.runs_seen;
         }
     }
 
@@ -807,55 +787,16 @@ impl<S: Simulator> HybridEngine<S> {
 
     /// Force a (re)training of the surrogate on the current buffer.
     pub fn retrain(&mut self) -> Result<()> {
-        let n = self.buffer_x.len();
-        if n < 4 {
-            return Err(LeError::InsufficientData(format!("{n} buffered runs")));
-        }
-        let in_dim = self.simulator.input_dim();
-        let out_dim = self.simulator.output_dim();
-        let mut x = Matrix::zeros(n, in_dim);
-        let mut y = Matrix::zeros(n, out_dim);
-        for i in 0..n {
-            x.row_mut(i).copy_from_slice(&self.buffer_x[i]);
-            y.row_mut(i).copy_from_slice(&self.buffer_y[i]);
-        }
-        let _t = le_obs::trace_span!("hybrid.retrain");
-        let sp = le_obs::timed_span!("hybrid.retrain");
-        // A panic inside training (e.g. a worker panic out of the trainer's
-        // pool dispatch) is a failed retrain like any other — the campaign
-        // must survive it.
-        let cfg = &self.config.surrogate;
-        let fitted = catch_unwind(AssertUnwindSafe(|| NnSurrogate::fit(&x, &y, cfg)))
-            .unwrap_or_else(|_| Err(LeError::Model("surrogate training panicked".into())));
-        match fitted {
-            Ok(surrogate) => {
-                let secs = sp.finish_secs();
-                // In rolling mode the growth mark tracks total runs seen
-                // (the capped buffer length plateaus at the window size).
-                let fit_mark = if self.rolling.is_some() {
-                    self.runs_seen as usize
-                } else {
-                    n
-                };
-                self.install_surrogate(surrogate, secs, fit_mark);
-                Ok(())
-            }
-            Err(e) => {
-                self.failed_retrains += 1;
-                le_obs::counter!("hybrid.retrain_errors").inc();
-                self.supervisor.note_retrain_failure(e.clone());
-                Err(e)
-            }
-        }
+        self.fit(0)
     }
 
     /// Fraction of queries served by lookup so far.
     pub fn lookup_fraction(&self) -> f64 {
-        let total = self.n_lookups + self.n_simulations;
+        let total = self.n_lookups() + self.n_simulations();
         if total == 0 {
             0.0
         } else {
-            self.n_lookups as f64 / total as f64
+            self.n_lookups() as f64 / total as f64
         }
     }
 
@@ -1361,5 +1302,63 @@ mod tests {
         assert!(!engine.retrain_pending());
         assert!(engine.rolling_swaps() >= 1);
         assert!(engine.supervisor().last_staleness().is_none());
+    }
+
+    #[test]
+    fn failed_boundary_retrain_marks_growth_in_inline_mode() {
+        // Inline mode (no rolling) with staleness: a staleness-requested
+        // boundary retrain that fails must push the growth mark to
+        // `runs_seen`, exactly like a failed growth-triggered retrain.
+        let mut engine = engine(1e9_f64, 43); // huge τ: gate always serves
+        engine
+            .enable_staleness(crate::StalenessConfig {
+                window: 8,
+                baseline: 8,
+                std_ratio: 1.3,
+                nominal_coverage: 0.9,
+                min_coverage: 0.0,
+                min_labelled: 64,
+            })
+            .unwrap();
+        let mut rng = Rng::new(44);
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for _ in 0..40 {
+            let x = vec![rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)];
+            ys.push(engine.simulator().truth(&x));
+            xs.push(x);
+        }
+        // Below min_training_runs (48): buffered, not trained…
+        engine.seed_training(&xs, &ys).unwrap();
+        // …until a manual fit on the clean buffer marks growth at 40.
+        engine.retrain().unwrap();
+        assert_eq!(engine.runs_at_last_fit, 40);
+        // Sub-threshold poisoned seeding: tolerated, fatal to the next fit.
+        let poisoned_x = vec![
+            vec![0.0, 0.0],
+            vec![0.1, 0.1],
+            vec![0.2, 0.2],
+            vec![0.3, 0.3],
+        ];
+        engine
+            .seed_training(&poisoned_x, &vec![vec![f64::NAN]; 4])
+            .unwrap();
+        assert_eq!(engine.runs_seen(), 44);
+        for _ in 0..8 {
+            let x = [rng.uniform_in(-0.5, 0.5), rng.uniform_in(-0.5, 0.5)];
+            engine.query(&x).unwrap();
+        }
+        for _ in 0..40 {
+            let x = [rng.uniform_in(2.0, 3.0), rng.uniform_in(-3.0, -2.0)];
+            engine.query(&x).unwrap();
+            if engine.failed_retrains() > 0 {
+                break;
+            }
+        }
+        assert!(engine.supervisor().stale_flags() >= 1, "drift must flag");
+        assert_eq!(engine.failed_retrains(), 1, "the boundary retrain failed");
+        assert_eq!(engine.rolling_swaps(), 0);
+        assert_eq!(engine.n_simulations(), 0, "the gate served every row");
+        assert_eq!(engine.runs_at_last_fit, engine.runs_seen());
     }
 }

@@ -30,19 +30,12 @@
 //! construction: the only inputs are the seed, the axis, and the logical
 //! time index the caller already counts.
 
+use le_linalg::rng::splitmix64;
 use learning_everywhere::{LeError, Result};
 
 /// Domain-separation salt for the per-`(axis, t)` jitter stream, mixed with
 /// the axis index so each axis gets an independent stream.
 const SALT_JITTER: u64 = 0xD21F_7A11_5EED_0001;
-
-/// splitmix64 finalizer: a well-mixed 64-bit hash of its input.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A primitive drift shape: the additive offset it contributes to one
 /// feature axis as a pure function of logical time `t`.

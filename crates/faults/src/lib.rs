@@ -31,6 +31,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use le_linalg::rng::splitmix64;
 use learning_everywhere::{LeError, Result, Simulator};
 
 /// Per-kind injection probabilities, each in `[0, 1]`.
@@ -51,14 +52,6 @@ const SALT_NONFINITE: u64 = 0x5105_3E8A_11CE_0002;
 const SALT_STALL: u64 = 0x5105_3E8A_11CE_0003;
 const SALT_STALL_LEN: u64 = 0x5105_3E8A_11CE_0004;
 const SALT_PANIC: u64 = 0x5105_3E8A_11CE_0005;
-
-/// splitmix64 finalizer: a well-mixed 64-bit hash of its input.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A seeded fault schedule: which call/task indices fault, decided
 /// statelessly so injection reproduces bit-for-bit across runs, thread

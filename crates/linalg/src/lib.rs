@@ -19,6 +19,8 @@
 //!   and online (Welford) accumulators.
 //! * [`solve`] — small dense solvers (Gaussian elimination with partial
 //!   pivoting, Cholesky) used by calibration and least-squares baselines.
+//! * [`Fnv`] — the FNV-1a digest campaigns and golden tests fold their
+//!   observable behaviour into.
 //! * [`approx`] — tolerance-based float comparison ([`approx::approx_eq`],
 //!   [`assert_close!`]) backing the workspace's `float-hygiene` lint rule.
 //!
@@ -26,11 +28,13 @@
 //! beyond what the caller hands in.
 
 pub mod approx;
+pub mod fnv;
 pub mod matrix;
 pub mod rng;
 pub mod solve;
 pub mod stats;
 
+pub use fnv::Fnv;
 pub use matrix::Matrix;
 pub use rng::Rng;
 

@@ -6,6 +6,20 @@
 //! generator. The generator is xoshiro256** (Blackman & Vigna), seeded
 //! through SplitMix64 as its authors recommend.
 
+/// The SplitMix64 golden-gamma increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 finalizer: a stateless, well-mixed 64-bit hash of `z`
+/// (`SplitMix64::new(z).next_u64()`). Seeded schedules hash
+/// `(seed, salt, index)` through it so every decision is a pure function of
+/// its coordinates.
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64 — used to expand a single `u64` seed into xoshiro state and to
 /// derive independent child seeds.
 #[derive(Debug, Clone)]
@@ -21,11 +35,9 @@ impl SplitMix64 {
 
     /// Next 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = self.state;
+        self.state = z.wrapping_add(GAMMA);
+        splitmix64(z)
     }
 }
 
@@ -91,7 +103,7 @@ impl Rng {
     /// states.
     pub fn substream(seed: u64, ordinal: u64) -> Rng {
         let mut sm =
-            SplitMix64::new(seed ^ ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            SplitMix64::new(seed ^ ordinal.wrapping_mul(GAMMA));
         Rng::new(sm.next_u64())
     }
 

@@ -36,7 +36,6 @@ pub mod ccd;
 pub mod collective;
 pub mod gibbs;
 pub mod kmeans;
-pub mod pool;
 pub mod sgd;
 pub mod sync;
 

@@ -6,8 +6,7 @@
 //! dependency. It accepts standard JSON (objects, arrays, strings with the
 //! common escapes, numbers, booleans, null) — enough for any document this
 //! workspace produces. It lives in `le-obs` (the lowest layer) so both the
-//! bench harness and `obsctl` can share it; `le_bench::json` re-exports it
-//! under the old path.
+//! bench harness and `obsctl` can share it.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -33,10 +33,12 @@
 //!   carried back, and resumed on the calling thread (as the sequential
 //!   loop would have panicked), leaving the pool reusable.
 //! * **Nested-call safety** — a parallel call from inside a pool job runs
-//!   inline (sequentially) instead of deadlocking on the single job slot.
+//!   inline (sequentially) instead of deadlocking on the single job slot,
+//!   and so does a dispatch from a second thread while the slot is taken.
 //! * **Instrumented** — every dispatch records to the `le-obs` global
 //!   registry: `le_pool.jobs` (dispatches), `le_pool.tasks_claimed`
-//!   (cursor claims on the pooled path; the inline path claims nothing),
+//!   (cursor claims on the pooled path, also when a contended dispatch
+//!   runs them on its caller; the inline path claims nothing),
 //!   the `le_pool.job` span (dispatch wall time), `le_pool.worker_busy`
 //!   (per-worker time inside a claimed job), and `le_pool.queue_wait`
 //!   (post-to-claim latency per worker). These describe the *schedule*, so
@@ -236,13 +238,30 @@ struct Finish<'p> {
     shared: &'p Shared,
 }
 
-impl Drop for Finish<'_> {
-    fn drop(&mut self) {
+impl Finish<'_> {
+    /// Wait for in-flight workers, clear the slot and take the job's first
+    /// worker panic — in one critical section, so a dispatch posted next
+    /// cannot reset that panic before its owner collects it.
+    fn settle(&self) -> Option<Panic> {
         let mut st = relock(self.shared.state.lock());
         while st.active > 0 {
             st = relock(self.shared.done_cv.wait(st));
         }
         st.job = None;
+        st.panic.take()
+    }
+
+    /// Settle on the normal path and hand the worker panic to the caller.
+    fn finish(self) -> Option<Panic> {
+        let panic = self.settle();
+        std::mem::forget(self);
+        panic
+    }
+}
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -294,7 +313,7 @@ fn worker_loop(shared: &Shared) {
         }
         st.active -= 1;
         if st.active == 0 {
-            shared.done_cv.notify_one();
+            shared.done_cv.notify_all();
         }
     }
 }
@@ -358,30 +377,38 @@ impl Pool {
 
     /// Post `f` to the workers, run it on the caller too, wait for all
     /// claimants to finish, then propagate the first captured panic.
+    ///
+    /// If another thread's job already holds the single slot, `f` runs on
+    /// the caller alone instead: every helper's claiming cursor completes
+    /// its job with one participant, and posting over the slot would strand
+    /// the first dispatcher's wait and hand it the wrong worker panic.
     fn run_job(&self, f: &(dyn Fn() + Sync)) {
         let _job_sp = le_obs::span!("le_pool.job");
         le_obs::counter!("le_pool.jobs").inc();
-        {
+        let posted = {
             let mut st = relock(self.shared.state.lock());
-            st.job = Some(erase(f));
-            st.posted = Some(le_obs::Stopwatch::start());
-            st.ctx = le_obs::trace::current_ctx();
-            st.epoch = st.epoch.wrapping_add(1);
-            st.panic = None;
-            self.shared.work_cv.notify_all();
-        }
+            let free = st.job.is_none();
+            if free {
+                st.job = Some(erase(f));
+                st.posted = Some(le_obs::Stopwatch::start());
+                st.ctx = le_obs::trace::current_ctx();
+                st.epoch = st.epoch.wrapping_add(1);
+                st.panic = None;
+                self.shared.work_cv.notify_all();
+            }
+            free
+        };
         // From here on the guard ensures no return before every claiming
         // worker is done and the slot is cleared — the soundness condition
         // of `erase`, and the reason a caller panic cannot strand workers
         // on a dangling job reference.
-        let guard = Finish {
+        let guard = posted.then(|| Finish {
             shared: &self.shared,
-        };
+        });
         IN_POOL.with(|c| c.set(true));
         let caller = catch_unwind(AssertUnwindSafe(|| f()));
         IN_POOL.with(|c| c.set(false));
-        drop(guard);
-        let worker_panic = relock(self.shared.state.lock()).panic.take();
+        let worker_panic = guard.and_then(Finish::finish);
         if let Err(payload) = caller {
             resume_unwind(payload);
         }

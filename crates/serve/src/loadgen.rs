@@ -15,7 +15,7 @@
 //! deadline-triggered batching — they are never compared against a wall
 //! clock, which is what keeps a serve run bit-replayable.
 
-use le_linalg::Rng;
+use le_linalg::{Fnv, Rng};
 use learning_everywhere::{LeError, Result};
 
 /// The arrival process of the open-loop schedule.
@@ -127,26 +127,20 @@ impl Workload {
     /// identity of the generated stream (pinned by tests to guard
     /// against constant-stream or thread-dependent regressions).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        fold(self.input_dim as u64);
-        fold(self.tenants as u64);
-        for v in &self.pool {
-            fold(v.to_bits());
+        let mut h = Fnv::new();
+        h.u64(self.input_dim as u64);
+        h.u64(self.tenants as u64);
+        for &v in &self.pool {
+            h.f64(v);
         }
         for s in &self.specs {
-            fold(s.seq);
-            fold(s.tenant as u64);
-            fold(s.arrival.to_bits());
-            fold(s.row_start as u64);
-            fold(s.rows as u64);
+            h.u64(s.seq);
+            h.u64(s.tenant as u64);
+            h.f64(s.arrival);
+            h.u64(s.row_start as u64);
+            h.u64(s.rows as u64);
         }
-        h
+        h.finish()
     }
 }
 

@@ -26,7 +26,7 @@ fn main() {
         .collect();
     let t0 = std::time::Instant::now();
     let results: Vec<Vec<f64>> =
-        le_mlkernels::pool::par_map_index(params.len(), |i| {
+        le_pool::par_map_index(params.len(), |i| {
             sim.run(&params[i], 1000 + i as u64).expect("valid params").0.to_vec()
         });
     let sim_wall = t0.elapsed().as_secs_f64();

@@ -5,6 +5,35 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# digest_invariant <bin> [per-thread test cmd…]: run the le-bench binary
+# <bin> at LE_POOL_THREADS=1, 4 and 7 and require the `digest 0x…` line it
+# prints to be byte-identical at every width. <bin> is split on spaces, so
+# "<name> -- <args>" passes arguments. After each width the optional test
+# command runs under the same LE_POOL_THREADS. Leaves the digest in
+# $digest and the 1-thread output in $first_out.
+digest_invariant() {
+  bin="$1"
+  shift
+  name="${bin%% *}"
+  digest=""
+  for threads in 1 4 7; do
+    out="$(LE_POOL_THREADS=$threads cargo run -q --release --offline -p le-bench --bin $bin 2>/dev/null)"
+    d="$(printf '%s\n' "$out" | sed -n 's/^digest //p')"
+    [ -n "$d" ] || { echo "$name printed no digest at LE_POOL_THREADS=$threads" >&2; exit 1; }
+    if [ -z "$digest" ]; then
+      digest="$d"
+      first_out="$out"
+    elif [ "$d" != "$digest" ]; then
+      echo "$name digest diverged: $digest vs $d (LE_POOL_THREADS=$threads)" >&2
+      exit 1
+    fi
+    if [ $# -gt 0 ]; then
+      (export LE_POOL_THREADS=$threads; "$@")
+    fi
+  done
+  echo "    digest $digest at all thread counts"
+}
+
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
@@ -60,20 +89,8 @@ grep -q '"bench": "surrogate_batch"' results/BENCH_surrogate_batch.json
 # batched HybridEngine path must stay bit-identical to sequential queries
 # at the same pool widths (tests/surrogate_batch_equivalence.rs).
 echo "==> surrogate batch: digest invariance + query_batch equivalence at LE_POOL_THREADS=1/4/7"
-sb_digest=""
-for threads in 1 4 7; do
-  out="$(LE_POOL_THREADS=$threads cargo run -q --release --offline -p le-bench --bin surrogate_batch -- --samples 1 2>/dev/null)"
-  d="$(printf '%s\n' "$out" | sed -n 's/^digest //p')"
-  [ -n "$d" ] || { echo "surrogate_batch printed no digest at LE_POOL_THREADS=$threads" >&2; exit 1; }
-  if [ -z "$sb_digest" ]; then
-    sb_digest="$d"
-  elif [ "$d" != "$sb_digest" ]; then
-    echo "surrogate batch digest diverged: $sb_digest vs $d (LE_POOL_THREADS=$threads)" >&2
-    exit 1
-  fi
-  LE_POOL_THREADS=$threads cargo test -q --offline --test surrogate_batch_equivalence
-done
-echo "    digest $sb_digest at all thread counts"
+digest_invariant "surrogate_batch -- --samples 1" \
+  cargo test -q --offline --test surrogate_batch_equivalence
 
 # Observability regression gate: regenerate the deterministic OBS snapshots
 # with a pinned pool, then diff them — plus the bench medians written just
@@ -96,19 +113,7 @@ cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
 # replicate the committed degradation counters exactly (the thread-variant
 # pool-schedule metrics are excluded by prefix).
 echo "==> fault campaign: digest invariance at LE_POOL_THREADS=1/4/7 + obsctl diff"
-fault_digest=""
-for threads in 1 4 7; do
-  out="$(LE_POOL_THREADS=$threads cargo run -q --release --offline -p le-bench --bin fault_campaign 2>/dev/null)"
-  d="$(printf '%s\n' "$out" | sed -n 's/^digest //p')"
-  [ -n "$d" ] || { echo "fault_campaign printed no digest at LE_POOL_THREADS=$threads" >&2; exit 1; }
-  if [ -z "$fault_digest" ]; then
-    fault_digest="$d"
-  elif [ "$d" != "$fault_digest" ]; then
-    echo "fault campaign digest diverged: $fault_digest vs $d (LE_POOL_THREADS=$threads)" >&2
-    exit 1
-  fi
-done
-echo "    digest $fault_digest at all thread counts"
+digest_invariant fault_campaign
 cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
   --baseline results/baselines/faults --current results \
   --tolerance 100 --ignore le_pool.
@@ -122,33 +127,23 @@ cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
 # and replicate the committed serve counters exactly (thread-variant
 # pool metrics and the wall-clock serve.latency histograms are excluded).
 echo "==> serve campaign: digest invariance + equivalence at LE_POOL_THREADS=1/4/7"
-serve_digest=""
-for threads in 1 4 7; do
-  out="$(LE_POOL_THREADS=$threads cargo run -q --release --offline -p le-bench --bin serve_campaign 2>/dev/null)"
-  d="$(printf '%s\n' "$out" | sed -n 's/^digest //p')"
-  [ -n "$d" ] || { echo "serve_campaign printed no digest at LE_POOL_THREADS=$threads" >&2; exit 1; }
-  if [ -z "$serve_digest" ]; then
-    serve_digest="$d"
-    rows="$(printf '%s\n' "$out" | sed -n 's/^rows_served //p')"
-    [ -n "$rows" ] || { echo "serve_campaign printed no rows_served" >&2; exit 1; }
-    awk "BEGIN { exit !($rows >= 1000000) }" || {
-      echo "serve campaign served only $rows rows (acceptance floor: 1000000)" >&2
-      exit 1
-    }
-    p99="$(printf '%s\n' "$out" | sed -n 's/.* p99_us \([0-9.]*\).*/\1/p')"
-    [ -n "$p99" ] || { echo "serve_campaign printed no p99" >&2; exit 1; }
-    awk "BEGIN { exit !($p99 <= 250000.0) }" || {
-      echo "serve campaign p99 latency ${p99}us exceeds the 250ms ceiling" >&2
-      exit 1
-    }
-  elif [ "$d" != "$serve_digest" ]; then
-    echo "serve campaign digest diverged: $serve_digest vs $d (LE_POOL_THREADS=$threads)" >&2
-    exit 1
-  fi
-  LE_POOL_THREADS=$threads cargo test -q --offline --test serve_equivalence
-  LE_POOL_THREADS=$threads cargo test -q --offline -p le-serve
-done
-echo "    digest $serve_digest at all thread counts"
+serve_suites() {
+  cargo test -q --offline --test serve_equivalence
+  cargo test -q --offline -p le-serve
+}
+digest_invariant serve_campaign serve_suites
+rows="$(printf '%s\n' "$first_out" | sed -n 's/^rows_served //p')"
+[ -n "$rows" ] || { echo "serve_campaign printed no rows_served" >&2; exit 1; }
+awk "BEGIN { exit !($rows >= 1000000) }" || {
+  echo "serve campaign served only $rows rows (acceptance floor: 1000000)" >&2
+  exit 1
+}
+p99="$(printf '%s\n' "$first_out" | sed -n 's/.* p99_us \([0-9.]*\).*/\1/p')"
+[ -n "$p99" ] || { echo "serve_campaign printed no p99" >&2; exit 1; }
+awk "BEGIN { exit !($p99 <= 250000.0) }" || {
+  echo "serve campaign p99 latency ${p99}us exceeds the 250ms ceiling" >&2
+  exit 1
+}
 cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
   --baseline results/baselines/serve --current results \
   --tolerance 100 --ignore le_pool. --ignore serve.latency
@@ -162,19 +157,7 @@ cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
 # rolling counters must replicate exactly (thread-variant pool metrics and
 # wall-clock serve.latency histograms are excluded).
 echo "==> drift campaign: digest invariance at LE_POOL_THREADS=1/4/7 + obsctl diff"
-drift_digest=""
-for threads in 1 4 7; do
-  out="$(LE_POOL_THREADS=$threads cargo run -q --release --offline -p le-bench --bin drift_campaign 2>/dev/null)"
-  d="$(printf '%s\n' "$out" | sed -n 's/^digest //p')"
-  [ -n "$d" ] || { echo "drift_campaign printed no digest at LE_POOL_THREADS=$threads" >&2; exit 1; }
-  if [ -z "$drift_digest" ]; then
-    drift_digest="$d"
-  elif [ "$d" != "$drift_digest" ]; then
-    echo "drift campaign digest diverged: $drift_digest vs $d (LE_POOL_THREADS=$threads)" >&2
-    exit 1
-  fi
-done
-echo "    digest $drift_digest at all thread counts"
+digest_invariant drift_campaign
 cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
   --baseline results/baselines/drift --current results \
   --tolerance 100 --ignore le_pool. --ignore serve.latency

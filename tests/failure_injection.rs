@@ -423,7 +423,7 @@ fn failing_simulator_still_exports_valid_obs_snapshot() {
     // The registry still snapshots and the export parses as JSON.
     let path = le_obs::write_snapshot("failure_injection").expect("snapshot after errors");
     let body = std::fs::read_to_string(&path).expect("snapshot readable");
-    let doc = le_bench::json::parse(&body).expect("valid JSON after failure paths");
+    let doc = le_obs::json::parse(&body).expect("valid JSON after failure paths");
     assert!(doc.get("counters").is_some());
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(path.with_extension("txt"));

@@ -14,23 +14,13 @@ use le_mdsim::integrate::{run, Integrator};
 use le_mdsim::system::{SlabBox, Species, System};
 use le_netdyn::seir::{simulate, SeirConfig};
 use le_netdyn::{Population, PopulationConfig};
-use le_linalg::Rng;
+use le_linalg::{Fnv, Rng};
 
-/// FNV-1a over a stream of 64-bit words (little-endian byte order). Stable,
-/// dependency-free, and sensitive to every bit of every f64 fed in.
-fn fnv1a<I: IntoIterator<Item = u64>>(words: I) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// FNV-1a over a sequence of f64 bit patterns: sensitive to every bit.
+fn fold_f64s<'a, I: IntoIterator<Item = &'a f64>>(h: &mut Fnv, vals: I) {
+    for v in vals {
+        h.f64(*v);
     }
-    h
-}
-
-fn f64_bits<'a, I: IntoIterator<Item = &'a f64>>(vals: I) -> impl Iterator<Item = u64> {
-    vals.into_iter().map(|v| v.to_bits()).collect::<Vec<_>>().into_iter()
 }
 
 /// 200 Langevin (BAOAB) steps of a 48-ion slab system, seeded; hash of the
@@ -69,17 +59,17 @@ fn md_trajectory_hash() -> u64 {
     };
     let traj = run(&mut sys, &ff, &integ, 200, 20, &mut rng, |_, _| {}).expect("stable run");
 
-    let mut words: Vec<u64> = Vec::new();
+    let mut h = Fnv::new();
     for p in &sys.pos {
-        words.extend(p.iter().map(|v| v.to_bits()));
+        fold_f64s(&mut h, p);
     }
     for v in &sys.vel {
-        words.extend(v.iter().map(|x| x.to_bits()));
+        fold_f64s(&mut h, v);
     }
-    words.extend(f64_bits(&traj.potential));
-    words.extend(f64_bits(&traj.kinetic));
-    words.extend(f64_bits(&traj.temperature));
-    fnv1a(words)
+    fold_f64s(&mut h, &traj.potential);
+    fold_f64s(&mut h, &traj.kinetic);
+    fold_f64s(&mut h, &traj.temperature);
+    h.finish()
 }
 
 /// One seeded stochastic SEIR realization on a 4-county block-model
@@ -88,13 +78,13 @@ fn md_trajectory_hash() -> u64 {
 fn epidemic_curve_hash() -> u64 {
     let pop = Population::generate(&PopulationConfig::uniform(4, 250), 7).expect("population");
     let out = simulate(&pop, &SeirConfig::default(), 11).expect("epidemic");
-    let mut words: Vec<u64> = Vec::new();
+    let mut h = Fnv::new();
     for county in &out.incidence {
-        words.extend(f64_bits(county));
+        fold_f64s(&mut h, county);
     }
-    words.push(out.attack_rate.to_bits());
-    words.push(out.peak_day as u64);
-    fnv1a(words)
+    h.f64(out.attack_rate);
+    h.u64(out.peak_day as u64);
+    h.finish()
 }
 
 /// Committed baseline: 200-step nanoconfinement-style MD trajectory.

@@ -7,7 +7,6 @@
 //! One test function on purpose: the spans live in the process-global
 //! registry, and a single test owns the whole delta.
 
-use le_bench::json as benchjson;
 use le_linalg::Rng;
 use learning_everywhere::simulator::SyntheticSimulator;
 use learning_everywhere::surrogate::SurrogateConfig;
@@ -87,7 +86,7 @@ fn span_telemetry_agrees_with_accounting() {
     // The exported snapshot is valid JSON carrying the same numbers.
     let path = le_obs::write_snapshot("conformance").expect("snapshot writes");
     let body = std::fs::read_to_string(&path).expect("snapshot readable");
-    let doc = benchjson::parse(&body).expect("OBS snapshot is valid JSON");
+    let doc = le_obs::json::parse(&body).expect("OBS snapshot is valid JSON");
     let spans = doc.get("spans").and_then(|s| s.as_arr()).expect("spans array");
     let find = |name: &str| {
         spans
