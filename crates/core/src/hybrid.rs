@@ -1064,8 +1064,6 @@ mod tests {
             let _ = engine.query(&x).unwrap();
         }
         let acc = engine.accounting();
-        assert_eq!(acc.n_train(), engine.n_simulations());
-        assert_eq!(acc.n_lookup(), engine.n_lookups());
         assert!(engine.n_lookups() > 0, "engine should warm up");
         let s = acc.effective_speedup().unwrap();
         assert!(

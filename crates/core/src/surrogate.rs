@@ -281,8 +281,9 @@ impl NnSurrogate {
     /// MC-dropout prediction with per-output mean and std, natural units.
     /// A batch of one: consumes one consult ordinal.
     pub fn predict_with_uncertainty(&mut self, input: &[f64]) -> Result<Prediction> {
-        let mut preds = self.predict_with_uncertainty_rows(&[input])?;
-        Ok(preds.pop().expect("one row in, one prediction out")) // lint:allow(no-panic): rows len 1 is checked by construction
+        self.predict_with_uncertainty_rows(&[input])?
+            .pop()
+            .ok_or_else(|| LeError::Model("one row in, no prediction out".into()))
     }
 
     /// Fused MC-dropout predictions for a whole batch: all `mc_samples`

@@ -20,6 +20,30 @@ pub fn splitmix64(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `2^53`, the number of distinct values [`Rng::uniform`] can return.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+/// The uniform `f64` in `[0, 1)` that [`Rng::uniform`] makes of the raw
+/// draw `u`: its top 53 bits scaled by `2^-53`, which is exact.
+#[inline]
+fn unit_f64(u: u64) -> f64 {
+    (u >> 11) as f64 * (1.0 / TWO_POW_53)
+}
+
+/// The integer threshold of a Bernoulli(`p`) trial: for every raw draw
+/// `u`, `(u >> 11) < bernoulli_threshold(p)` holds exactly when
+/// `unit_f64(u) < p`, so one integer compare decides every draw the way
+/// [`Rng::bernoulli`] does.
+///
+/// Why it is exact: `unit_f64(u) = x · 2^-53` for the integer
+/// `x = u >> 11`, and scaling by a power of two is exact, so the float
+/// test is `x < p · 2^53`; for an integer `x` that is `x < ⌈p · 2^53⌉`.
+/// The saturating cast maps `p ≤ 0` and NaN to 0 (never) and `p ≥ 1` to at
+/// least `2^53` (always), matching the float compare at both ends.
+pub fn bernoulli_threshold(p: f64) -> u64 {
+    (p * TWO_POW_53).ceil() as u64
+}
+
 /// SplitMix64 — used to expand a single `u64` seed into xoshiro state and to
 /// derive independent child seeds.
 #[derive(Debug, Clone)]
@@ -75,6 +99,57 @@ impl Xoshiro256 {
     }
 }
 
+/// `L` independent xoshiro256** streams stepped in lockstep, their state
+/// held lane-wise so one step of all `L` auto-vectorizes. Lane `l` yields
+/// exactly the raw draws of the `l`-th generator it was built from, so
+/// interleaving streams this way cannot move a bit of any one stream.
+#[derive(Debug, Clone)]
+pub struct XoshiroLanes<const L: usize> {
+    s: [[u64; L]; 4],
+}
+
+impl<const L: usize> XoshiroLanes<L> {
+    /// Lane `l` continues `rngs[l]`'s raw stream (a cached Gaussian, which
+    /// raw draws never consume, is dropped).
+    pub fn new(rngs: [Rng; L]) -> Self {
+        let mut s = [[0u64; L]; 4];
+        for (l, rng) in rngs.iter().enumerate() {
+            for (w, lane) in s.iter_mut().enumerate() {
+                lane[l] = rng.core.s[w];
+            }
+        }
+        Self { s }
+    }
+
+    /// Fill `out` with the next `N` raw draws of every lane: `out[i][l]`
+    /// is what the `i`-th further `next_u64` of stream `l` returns.
+    ///
+    /// The fixed trip count is what lets the compiler keep the lanes in
+    /// vector registers: with a runtime-length buffer it unrolls the loop
+    /// instead and leaves every lane scalar. Kept out of line so each `N`
+    /// is compiled on its own.
+    #[inline(never)]
+    pub fn fill<const N: usize>(&mut self, out: &mut [[u64; L]; N]) {
+        let [mut s0, mut s1, mut s2, mut s3] = self.s;
+        for o in out.iter_mut() {
+            for l in 0..L {
+                // `x · 5` and `· 9` as shift-adds (the same values mod
+                // 2^64): AVX2 has no 64-bit lane multiply.
+                let x = s1[l].wrapping_add(s1[l] << 2).rotate_left(7);
+                o[l] = x.wrapping_add(x << 3);
+                let t = s1[l] << 17;
+                s2[l] ^= s0[l];
+                s3[l] ^= s1[l];
+                s1[l] ^= s2[l];
+                s0[l] ^= s3[l];
+                s2[l] ^= t;
+                s3[l] = s3[l].rotate_left(45);
+            }
+        }
+        self.s = [s0, s1, s2, s3];
+    }
+}
+
 /// The workspace RNG: xoshiro256** plus the sampling methods the simulators
 /// and the ML stack need. One cached Gaussian keeps Box–Muller at one
 /// transcendental pair per two samples.
@@ -126,7 +201,7 @@ impl Rng {
     /// Uniform `f64` in `[0, 1)` with 53 random bits.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -457,6 +532,75 @@ mod tests {
                 "bucket {i}: {} vs {expected}",
                 counts[i]
             );
+        }
+    }
+
+    #[test]
+    fn integer_bernoulli_agrees_with_the_float_compare() {
+        // Every `p` below has a threshold strictly inside (0, 2^53], so
+        // draws at `t - 1` and `t` sit on both sides of the boundary.
+        let ps = [
+            1.0,
+            0.5,                      // p · 2^53 an integer (2^52)
+            0.9,                      // an integer too: every p in [0.5, 1) is
+            1.0 - 1.0 / TWO_POW_53,   // the largest p below 1: 2^53 - 1
+            0.1,                      // p · 2^53 not an integer
+            0.7,
+            1.0 / TWO_POW_53,         // the smallest p above 0
+            3.0 / 7.0,
+        ];
+        for p in ps {
+            let t = bernoulli_threshold(p);
+            assert!((1..=1 << 53).contains(&t), "p {p}: threshold {t}");
+            for x in [t - 1, t, t + 1, 0, (1 << 53) - 1] {
+                if x >= 1 << 53 {
+                    continue;
+                }
+                let u = (x << 11) | 0x7FF; // low bits are discarded by both
+                assert_eq!(x < t, unit_f64(u) < p, "p {p}: x {x} threshold {t}");
+            }
+            assert!(unit_f64((t - 1) << 11) < p, "p {p}: t - 1 must pass");
+            if t < 1 << 53 {
+                assert!(unit_f64(t << 11) >= p, "p {p}: t must fail");
+            }
+        }
+        assert_eq!(bernoulli_threshold(1.0), 1 << 53);
+        assert_eq!(bernoulli_threshold(0.5), 1 << 52);
+        assert_eq!(bernoulli_threshold(1.0 - 1.0 / TWO_POW_53), (1 << 53) - 1);
+        assert_eq!(bernoulli_threshold(0.9), (0.9 * TWO_POW_53) as u64);
+        assert!((0.1 * TWO_POW_53).fract() > 0.0);
+        assert_eq!(bernoulli_threshold(0.1), (0.1 * TWO_POW_53) as u64 + 1);
+        assert_eq!(bernoulli_threshold(0.0), 0);
+        assert_eq!(bernoulli_threshold(-0.5), 0);
+        assert_eq!(bernoulli_threshold(f64::NAN), 0);
+        // Seeded draws: the two trials consume the same stream and agree
+        // on every draw, for fixed and random probabilities.
+        let mut pick = Rng::new(53);
+        for case in 0..64u64 {
+            let p = if (case as usize) < ps.len() { ps[case as usize] } else { pick.uniform() };
+            let t = bernoulli_threshold(p);
+            let (mut a, mut b) = (Rng::new(case), Rng::new(case));
+            for _ in 0..2000 {
+                assert_eq!(a.bernoulli(p), (b.next_u64() >> 11) < t, "p {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_replay_each_stream_exactly() {
+        let streams = || std::array::from_fn::<Rng, 4, _>(|l| Rng::substream(0xD1CE, l as u64 * 7));
+        let mut lanes = XoshiroLanes::new(streams());
+        let mut singles = streams();
+        let mut buf = [[0u64; 4]; 37];
+        let mut one = [[0u64; 4]; 1];
+        for _ in 0..5 {
+            lanes.fill(&mut buf);
+            lanes.fill(&mut one);
+            for draw in buf.iter().chain(&one) {
+                for (l, rng) in singles.iter_mut().enumerate() {
+                    assert_eq!(draw[l], rng.next_u64(), "lane {l}");
+                }
+            }
         }
     }
 

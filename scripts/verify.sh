@@ -87,10 +87,15 @@ grep -q '"bench": "surrogate_batch"' results/BENCH_surrogate_batch.json
 # bench's digest folds deterministic batch outputs and one fused MC-dropout
 # evaluation; it must be byte-identical at any LE_POOL_THREADS, and the
 # batched HybridEngine path must stay bit-identical to sequential queries
-# at the same pool widths (tests/surrogate_batch_equivalence.rs).
-echo "==> surrogate batch: digest invariance + query_batch equivalence at LE_POOL_THREADS=1/4/7"
-digest_invariant "surrogate_batch -- --samples 1" \
+# at the same pool widths (tests/surrogate_batch_equivalence.rs). The
+# engine splits row blocks across the pool, so le-nn's own suite (with the
+# bitwise reference-oracle test of the block kernel) runs at each width.
+echo "==> surrogate batch: digest invariance + query_batch equivalence + le-nn at LE_POOL_THREADS=1/4/7"
+surrogate_suites() {
   cargo test -q --offline --test surrogate_batch_equivalence
+  cargo test -q --offline -p le-nn
+}
+digest_invariant "surrogate_batch -- --samples 1" surrogate_suites
 
 # Observability regression gate: regenerate the deterministic OBS snapshots
 # with a pinned pool, then diff them — plus the bench medians written just
