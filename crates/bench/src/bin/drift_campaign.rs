@@ -27,19 +27,22 @@
 //! answer bit, both arms' windowed RMSEs, every chaos-arm response, and
 //! the thread-invariant drift/rolling/staleness counters.
 //! `scripts/verify.sh` runs this at `LE_POOL_THREADS` ∈ {1, 4, 7} and
-//! requires byte-identical digests, then diffs the exported
+//! requires the pinned digest at each, then diffs the exported
 //! `results/OBS_drift_campaign.json` against the committed baseline.
 //!
 //! ```sh
 //! LE_POOL_THREADS=4 cargo run --release -p le-bench --bin drift_campaign
 //! ```
 
+use le_bench::campaign::{
+    finish, fold_serve, or_exit, require, three_tenant_load, warm_smooth3, Smooth3,
+};
 use le_drift::presets::{nanoconfinement, shift_nano};
 use le_drift::{AxisDrift, DriftSchedule, DriftWave};
 use le_faults::{FaultPlan, FaultRates, FaultySimulator};
 use le_linalg::Fnv;
 use le_mdsim::nanoconfinement::NanoParams;
-use le_serve::{serve, Arrival, LoadConfig, LoopMode, ServeConfig, SizeClass, TenantQuota};
+use le_serve::{serve, LoopMode, ServeConfig, TenantQuota};
 use learning_everywhere::surrogate::{NnSurrogate, SurrogateConfig};
 use learning_everywhere::{
     HybridConfig, HybridEngine, QuerySource, RollingRetrainConfig, Simulator, StalenessConfig,
@@ -61,8 +64,7 @@ struct AnalyticNano;
 
 fn nano_truth(f: &[f64]) -> f64 {
     let (h, zp, zn, c, d) = (f[0], f[1], f[2], f[3], f[4]);
-    (1.7 * h).sin() * (1.0 + 0.6 * c) + 0.25 * (h - 2.4) * (h - 2.4) + 1.2 * d
-        + 0.08 * zp
+    (1.7 * h).sin() * (1.0 + 0.6 * c) + 0.25 * (h - 2.4) * (h - 2.4) + 1.2 * d + 0.08 * zp
         - 0.05 * zn
 }
 
@@ -75,22 +77,6 @@ impl Simulator for AnalyticNano {
     }
     fn simulate(&self, input: &[f64], _seed: u64) -> learning_everywhere::Result<Vec<f64>> {
         Ok(vec![nano_truth(input)])
-    }
-}
-
-/// The chaos-arm "physics" behind the serving frontend (3-wide rows).
-struct ServeSim;
-
-impl Simulator for ServeSim {
-    fn input_dim(&self) -> usize {
-        3
-    }
-    fn output_dim(&self) -> usize {
-        1
-    }
-    fn simulate(&self, input: &[f64], _seed: u64) -> learning_everywhere::Result<Vec<f64>> {
-        let (x, y, z) = (input[0], input[1], input[2]);
-        Ok(vec![(0.7 * x).sin() * (0.4 * y).cos() + 0.1 * z])
     }
 }
 
@@ -116,18 +102,6 @@ const DRIFT_COUNTERS: [&str; 16] = [
     "serve.rows_served",
     "serve.row_errors",
 ];
-
-fn fail_config(what: &str, e: impl std::fmt::Display) -> ! {
-    eprintln!("{what}: {e}");
-    std::process::exit(2);
-}
-
-fn gate(ok: bool, what: &str) {
-    if !ok {
-        eprintln!("ACCEPTANCE FAILED: {what}");
-        std::process::exit(1);
-    }
-}
 
 /// A pre-drift nanoconfinement parameter point: the *narrow* slab the
 /// frozen surrogate is trained on, well inside the physical ranges, so the
@@ -182,18 +156,14 @@ fn main() {
     // ---- Phase A, arm 1: the frozen surrogate. ----
     let x = le_linalg::Matrix::from_rows(&train.iter().map(|r| r.as_slice()).collect::<Vec<_>>());
     let y = le_linalg::Matrix::from_rows(&train_y.iter().map(|r| r.as_slice()).collect::<Vec<_>>());
-    let frozen = match NnSurrogate::fit(&x, &y, &surrogate_cfg) {
-        Ok(s) => s,
-        Err(e) => fail_config("frozen surrogate fit", e),
-    };
+    let frozen = or_exit(
+        NnSurrogate::fit(&x, &y, &surrogate_cfg),
+        "frozen surrogate fit",
+    );
     let mut pre_errs = Vec::new();
     let mut post_errs = Vec::new();
     for (t, row) in stream.iter().enumerate() {
-        let pred = match frozen.predict(row) {
-            Ok(p) => p[0],
-            Err(e) => fail_config("frozen predict", e),
-        };
-        let err = pred - nano_truth(row);
+        let err = or_exit(frozen.predict(row), "frozen predict")[0] - nano_truth(row);
         if (t as u64) < WINDOW {
             pre_errs.push(err);
         } else if t as u64 >= TOTAL - 2 * WINDOW {
@@ -203,66 +173,62 @@ fn main() {
     let frozen_pre = rmse(&pre_errs);
     let frozen_post = rmse(&post_errs);
     let frozen_ratio = frozen_post / frozen_pre;
-    println!(
-        "frozen rmse: pre {frozen_pre:.4} post {frozen_post:.4} ratio {frozen_ratio:.1}"
-    );
+    println!("frozen rmse: pre {frozen_pre:.4} post {frozen_post:.4} ratio {frozen_ratio:.1}");
     digest.f64(frozen_pre);
     digest.f64(frozen_post);
 
     // ---- Phase A, arm 2: the rolling-retrain engine. ----
-    let mut engine = match HybridEngine::with_supervisor(
-        AnalyticNano,
-        HybridConfig {
-            uncertainty_threshold: 0.30,
-            min_training_runs: 192,
-            retrain_growth: 1.1,
-            surrogate: surrogate_cfg.clone(),
-        },
-        SupervisorConfig {
-            max_retries: 2,
-            quarantine_after: 5,
-            degrade_after: 5,
-        },
-    ) {
-        Ok(e) => e,
-        Err(e) => fail_config("rolling engine rejected", e),
+    let rolling_cfg = HybridConfig {
+        uncertainty_threshold: 0.30,
+        min_training_runs: 192,
+        retrain_growth: 1.1,
+        surrogate: surrogate_cfg.clone(),
     };
-    if let Err(e) = engine.enable_rolling_retrain(RollingRetrainConfig {
+    let supervision = SupervisorConfig {
+        max_retries: 2,
+        quarantine_after: 5,
+        degrade_after: 5,
+    };
+    let mut engine = or_exit(
+        HybridEngine::with_supervisor(AnalyticNano, rolling_cfg, supervision),
+        "rolling engine rejected",
+    );
+    let rolling = RollingRetrainConfig {
         buffer_cap: 192,
         recent_boost: 96,
         audit_every: 3,
-    }) {
-        fail_config("rolling config rejected", e);
-    }
-    if let Err(e) = engine.enable_staleness(StalenessConfig {
+    };
+    or_exit(
+        engine.enable_rolling_retrain(rolling),
+        "rolling config rejected",
+    );
+    let staleness = StalenessConfig {
         window: 12,
         baseline: 12,
         std_ratio: 1.4,
         nominal_coverage: 0.9,
         min_coverage: 0.5,
         min_labelled: 12,
-    }) {
-        fail_config("staleness config rejected", e);
-    }
-    if let Err(e) = engine.seed_training(&train, &train_y) {
-        fail_config("rolling seed training", e);
-    }
-    if !engine.has_surrogate() {
-        fail_config("rolling warmup", "surrogate did not train from seeded runs");
-    }
+    };
+    or_exit(
+        engine.enable_staleness(staleness),
+        "staleness config rejected",
+    );
+    // The capped buffer keeps 192 of the 256 runs, exactly `min_training_runs`,
+    // so seeding either trains the surrogate or fails here.
+    or_exit(
+        engine.seed_training(&train, &train_y),
+        "rolling seed training",
+    );
 
     let mut served = 0u64;
     let mut pre = (Vec::new(), 0u64); // (errors, lookups)
     let mut fin = (Vec::new(), 0u64);
-    let mut gate_stds: Vec<(u64, f64)> = Vec::new();
     for (w, wave) in stream.chunks(WAVE).enumerate() {
         let results = match engine.query_batch(wave) {
             Ok(r) => r,
-            Err(e) => {
-                // Acceptance: the rolling engine answers every wave.
-                eprintln!("wave {w} failed under drift: {e}");
-                std::process::exit(1);
-            }
+            // Acceptance: the rolling engine answers every wave.
+            Err(e) => return require(false, &format!("wave {w} failed under drift: {e}")),
         };
         for (k, r) in results.iter().enumerate() {
             let t = (w * WAVE + k) as u64;
@@ -274,9 +240,6 @@ fn main() {
             });
             for v in &r.output {
                 digest.f64(*v);
-            }
-            if let Some(s) = r.gate_std {
-                gate_stds.push((t, s));
             }
             let err = r.output[0] - nano_truth(&stream[t as usize]);
             let bucket = if t < WINDOW {
@@ -292,25 +255,6 @@ fn main() {
                     *lookups += 1;
                 }
             }
-        }
-    }
-    if std::env::var("DRIFT_DEBUG").is_ok() {
-        let win = |lo: u64, hi: u64| {
-            let v: Vec<f64> = gate_stds
-                .iter()
-                .filter(|(t, _)| *t >= lo && *t < hi)
-                .map(|(_, s)| *s)
-                .collect();
-            let mean = v.iter().sum::<f64>() / v.len().max(1) as f64;
-            let max = v.iter().cloned().fold(0.0, f64::max);
-            (v.len(), mean, max)
-        };
-        let mut lo = 0;
-        while lo < TOTAL {
-            let hi = (lo + 2 * WINDOW).min(TOTAL);
-            let (n, mean, max) = win(lo, hi);
-            eprintln!("gate_std [{lo},{hi}): n {n} mean {mean:.4} max {max:.4}");
-            lo = hi;
         }
     }
     let rolling_pre = rmse(&pre.0);
@@ -336,144 +280,116 @@ fn main() {
     digest.u64(engine.supervisor().stale_flags());
 
     // The acceptance thresholds the gate rests on.
-    gate(served == TOTAL, "rolling arm must answer every query (serving never pauses)");
-    gate(
+    require(
+        served == TOTAL,
+        "rolling arm must answer every query (serving never pauses)",
+    );
+    require(
         frozen_ratio >= 3.0,
         "frozen surrogate RMSE must degrade >= 3x under the drift schedule",
     );
-    gate(
+    require(
         rolling_fin <= 1.25 * rolling_pre,
         "rolling-retrain engine must hold final RMSE within 1.25x of pre-drift",
     );
-    gate(
+    require(
         engine.rolling_swaps() >= 1,
         "rolling engine must actually swap snapshots at a wave boundary",
     );
-    gate(
+    require(
         engine.supervisor().stale_flags() >= 1,
         "staleness detector must flag the drift",
     );
-    gate(
+    require(
         fin.1 > 0,
         "recovered surrogate must serve lookups in the final window",
     );
 
     // ---- Phase B: the chaos arm — drifted payloads + fault injection
     // ---- under multi-tenant serving at saturation.
-    let plan = match FaultPlan::new(
-        0xD21F_FA,
-        FaultRates {
-            sim_error: 0.05,
-            nonfinite: 0.03,
-            stall: 0.0,
-        },
-    ) {
-        Ok(p) => p,
-        Err(e) => fail_config("fault plan rejected", e),
+    let rates = FaultRates {
+        sim_error: 0.05,
+        nonfinite: 0.03,
+        stall: 0.0,
     };
-    let mut chaos = match HybridEngine::with_supervisor(
-        FaultySimulator::new(ServeSim, plan.clone()),
-        HybridConfig {
-            uncertainty_threshold: 0.35,
-            min_training_runs: 48,
-            retrain_growth: 1.5,
-            surrogate: SurrogateConfig {
-                hidden: vec![16],
-                epochs: 30,
-                mc_samples: 4,
-                seed: 9,
-                ..Default::default()
-            },
+    let plan = or_exit(FaultPlan::new(0xD21F_FA, rates), "fault plan rejected");
+    let chaos_cfg = HybridConfig {
+        uncertainty_threshold: 0.35,
+        min_training_runs: 48,
+        retrain_growth: 1.5,
+        surrogate: SurrogateConfig {
+            hidden: vec![16],
+            epochs: 30,
+            mc_samples: 4,
+            seed: 9,
+            ..Default::default()
         },
-        SupervisorConfig {
-            max_retries: 3,
-            quarantine_after: 4,
-            degrade_after: 4,
-        },
-    ) {
-        Ok(e) => e,
-        Err(e) => fail_config("chaos engine rejected", e),
     };
-    if let Err(e) = chaos.enable_rolling_retrain(RollingRetrainConfig {
+    let supervision = SupervisorConfig {
+        max_retries: 3,
+        quarantine_after: 4,
+        degrade_after: 4,
+    };
+    let simulator = FaultySimulator::new(Smooth3, plan.clone());
+    let mut chaos = or_exit(
+        HybridEngine::with_supervisor(simulator, chaos_cfg, supervision),
+        "chaos engine rejected",
+    );
+    let rolling = RollingRetrainConfig {
         buffer_cap: 512,
         recent_boost: 64,
         audit_every: 16,
-    }) {
-        fail_config("chaos rolling config", e);
-    }
-    if let Err(e) = chaos.enable_staleness(StalenessConfig {
+    };
+    or_exit(
+        chaos.enable_rolling_retrain(rolling),
+        "chaos rolling config",
+    );
+    let staleness = StalenessConfig {
         window: 64,
         baseline: 64,
         std_ratio: 1.5,
         nominal_coverage: 0.9,
         min_coverage: 0.5,
         min_labelled: 64,
-    }) {
-        fail_config("chaos staleness config", e);
-    }
-    let mut warm_rng = le_linalg::Rng::substream(0x5EED_CAFE, 7);
-    let warm_x: Vec<Vec<f64>> = (0..64)
-        .map(|_| (0..3).map(|_| warm_rng.uniform_in(-1.5, 1.5)).collect())
-        .collect();
-    let warm_y: Vec<Vec<f64>> = warm_x
-        .iter()
-        .map(|x| ServeSim.simulate(x, 0).unwrap_or_default())
-        .collect();
-    if let Err(e) = chaos.seed_training(&warm_x, &warm_y) {
-        fail_config("chaos seed training", e);
-    }
-
-    let mut workload = match le_serve::loadgen::generate(&LoadConfig {
-        seed: le_bench::BENCH_SEED,
-        requests: 20_000,
-        input_dim: 3,
-        domain: (-1.5, 1.5),
-        payload_pool: 2048,
-        tenants: vec![0.5, 0.3, 0.2],
-        sizes: vec![
-            SizeClass { rows: 2, weight: 0.40 },
-            SizeClass { rows: 8, weight: 0.35 },
-            SizeClass { rows: 32, weight: 0.25 },
-        ],
-        arrival: Arrival::Poisson { rate: 40_000.0 },
-    }) {
-        Ok(w) => w,
-        Err(e) => fail_config("chaos workload rejected", e),
     };
+    or_exit(chaos.enable_staleness(staleness), "chaos staleness config");
+    or_exit(warm_smooth3(&mut chaos, 7, 64), "chaos seed training");
+
+    let mut workload = or_exit(
+        le_serve::loadgen::generate(&three_tenant_load(20_000, 2048)),
+        "chaos workload rejected",
+    );
     // Drift the payload pool in place: logical time = pool row index, so
     // late rows are far from the training distribution. Deterministic —
     // the same row drifts identically at any thread count.
-    let pool_schedule = match DriftSchedule::new(
-        0xD21F_9,
-        vec![
-            AxisDrift {
-                axis: 0,
-                wave: DriftWave::Ramp {
-                    start: 256,
-                    end: 1536,
-                    amplitude: 1.8,
-                },
+    let axes = vec![
+        AxisDrift {
+            axis: 0,
+            wave: DriftWave::Ramp {
+                start: 256,
+                end: 1536,
+                amplitude: 1.8,
             },
-            AxisDrift {
-                axis: 1,
-                wave: DriftWave::Step {
-                    at: 1024,
-                    amplitude: -1.2,
-                },
+        },
+        AxisDrift {
+            axis: 1,
+            wave: DriftWave::Step {
+                at: 1024,
+                amplitude: -1.2,
             },
-            AxisDrift {
-                axis: 2,
-                wave: DriftWave::Oscillation {
-                    period: 512,
-                    amplitude: 0.6,
-                },
+        },
+        AxisDrift {
+            axis: 2,
+            wave: DriftWave::Oscillation {
+                period: 512,
+                amplitude: 0.6,
             },
-        ],
-        0.01,
-    ) {
-        Ok(s) => s,
-        Err(e) => fail_config("pool schedule rejected", e),
-    };
+        },
+    ];
+    let pool_schedule = or_exit(
+        DriftSchedule::new(0xD21F_9, axes, 0.01),
+        "pool schedule rejected",
+    );
     let dim = workload.input_dim;
     for i in 0..workload.pool.len() / dim {
         pool_schedule.shift_row(&mut workload.pool[i * dim..(i + 1) * dim], i as u64);
@@ -495,49 +411,9 @@ fn main() {
             TenantQuota { rate: 50_000.0, burst: 384.0 },
         ],
     };
-    let report = match serve(&mut chaos, &workload, &cfg) {
-        Ok(r) => r,
-        Err(e) => fail_config("chaos serve run failed", e),
-    };
+    let report = or_exit(serve(&mut chaos, &workload, &cfg), "chaos serve run failed");
 
-    digest.u64(workload.digest());
-    for resp in &report.responses {
-        digest.u64(resp.seq);
-        digest.u64(resp.tenant as u64);
-        match &resp.outcome {
-            Ok(rows) => {
-                for row in rows {
-                    match row {
-                        Ok(r) => {
-                            digest.byte(match r.source {
-                                QuerySource::Lookup => 1,
-                                QuerySource::Simulated => 2,
-                            });
-                            for v in &r.output {
-                                digest.f64(*v);
-                            }
-                        }
-                        Err(e) => {
-                            digest.byte(3);
-                            digest.str(&e.to_string());
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                digest.byte(4);
-                digest.str(&e.to_string());
-            }
-        }
-    }
-    for t in 0..workload.tenants {
-        digest.u64(report.submitted[t]);
-        digest.u64(report.admitted[t]);
-        digest.u64(report.rejected[t]);
-    }
-    digest.u64(report.waves);
-    digest.u64(report.rows_served);
-    digest.u64(report.row_errors);
+    fold_serve(&mut digest, &workload, &report, false);
     digest.u64(chaos.n_lookups());
     digest.u64(chaos.n_simulations());
     digest.u64(chaos.rolling_swaps());
@@ -560,22 +436,14 @@ fn main() {
         chaos.supervisor().stale_flags(),
         chaos.supervisor().state(),
     );
-    gate(total_rej > 0, "chaos arm must exercise backpressure at saturation");
-    gate(
+    require(
+        total_rej > 0,
+        "chaos arm must exercise backpressure at saturation",
+    );
+    require(
         report.rows_served > 0,
         "chaos arm must serve rows despite drift and faults",
     );
 
-    // Fold the thread-invariant counters.
-    let snap = le_obs::snapshot();
-    for name in DRIFT_COUNTERS {
-        digest.str(name);
-        digest.u64(snap.counter(name).unwrap_or(0));
-    }
-    println!("digest 0x{:016x}", digest.finish());
-
-    match le_obs::write_snapshot("drift_campaign") {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("warning: could not write OBS snapshot: {e}"),
-    }
+    finish(digest, &DRIFT_COUNTERS, "drift_campaign");
 }

@@ -18,32 +18,12 @@
 //! LE_POOL_THREADS=4 cargo run --release -p le-bench --bin obs_baseline
 //! ```
 
+use le_bench::campaign::{des_workload, fanout_config, or_exit, require, Fanout};
 use le_bench::BENCH_SEED;
 use le_mdsim::nanoconfinement::NanoParams;
 use le_mdsim::{NanoSim, SimConfig};
-use le_sched::{simulate, Policy, Workload, WorkloadConfig};
-use learning_everywhere::surrogate::SurrogateConfig;
-use learning_everywhere::{HybridConfig, HybridEngine, Simulator};
-
-/// A simulator whose "physics" is a 64-wide parallel map: every query that
-/// simulates provably dispatches `pool.task` spans carrying its trace id.
-struct FanoutSimulator;
-
-impl Simulator for FanoutSimulator {
-    fn input_dim(&self) -> usize {
-        2
-    }
-    fn output_dim(&self) -> usize {
-        1
-    }
-    fn simulate(&self, input: &[f64], seed: u64) -> learning_everywhere::Result<Vec<f64>> {
-        let parts = le_pool::par_map_index(64, |i| {
-            let x = input[0] + input[1] * (i as f64 + seed as f64 * 1e-6);
-            (x * 0.01).sin()
-        });
-        Ok(vec![parts.iter().sum::<f64>() / 64.0])
-    }
-}
+use le_sched::{simulate, Policy, Workload};
+use learning_everywhere::HybridEngine;
 
 fn main() {
     // Phase 1: a short MD trajectory (trimmed preset so the whole campaign
@@ -60,50 +40,29 @@ fn main() {
         c: 0.5,
         d: 0.6,
     };
-    let (obs, _) = sim.run(&probe, BENCH_SEED).expect("probe params are valid");
+    let (obs, _) = or_exit(sim.run(&probe, BENCH_SEED), "md probe run");
     println!("md: contact density {:.4}", obs.contact);
 
     // Phase 2: a hybrid-engine campaign over the fan-out simulator.
-    let mut engine = HybridEngine::new(
-        FanoutSimulator,
-        HybridConfig {
-            uncertainty_threshold: 0.3,
-            min_training_runs: 8,
-            retrain_growth: 2.0,
-            surrogate: SurrogateConfig {
-                hidden: vec![16],
-                epochs: 10,
-                mc_samples: 8,
-                seed: 3,
-                ..Default::default()
-            },
-        },
-    )
-    .expect("valid config");
+    let mut engine = or_exit(
+        HybridEngine::new(Fanout, fanout_config()),
+        "engine rejected",
+    );
     for q in 0..24 {
         let x = [0.05 * q as f64, 0.2];
         if let Err(e) = engine.query(&x) {
-            eprintln!("query {q} failed: {e}");
-            std::process::exit(1);
+            return require(false, &format!("query {q} failed: {e}"));
         }
     }
     println!("hybrid: lookup fraction {:.2}", engine.lookup_fraction());
 
     // Phase 3: the mixed learnt/unlearnt workload under two DES policies.
-    let workload = Workload::generate(
-        &WorkloadConfig {
-            n_tasks: 1200,
-            mean_interarrival: 0.35,
-            sim_service: 8.0,
-            learnt_speedup: 1e5,
-            learnt_fraction_start: 0.6,
-            learnt_fraction_end: 0.6,
-        },
-        BENCH_SEED,
-    )
-    .expect("valid workload");
+    let workload = or_exit(
+        Workload::generate(&des_workload(1200), BENCH_SEED),
+        "workload rejected",
+    );
     for policy in [Policy::SingleQueue, Policy::WorkStealing] {
-        let m = simulate(&workload, 8, policy).expect("runs");
+        let m = or_exit(simulate(&workload, 8, policy), "DES run failed");
         println!("sched: {} makespan {:.1}s", policy.name(), m.makespan);
     }
 

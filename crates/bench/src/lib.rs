@@ -6,13 +6,15 @@
 //! `benches/` measuring its primitive operations, and (b) a harness binary
 //! under `src/bin/` (`e1_…` through `e12_…`) that regenerates the
 //! experiment's table/series for EXPERIMENTS.md. The fixtures here keep
-//! both views of one experiment using identical setups.
+//! both views of one experiment using identical setups; [`campaign`] holds
+//! what the deterministic campaign binaries share.
 
 use le_linalg::{Matrix, Rng};
 use le_mdsim::nanoconfinement::NanoParams;
 use le_mdsim::{NanoSim, SimConfig};
 use learning_everywhere::surrogate::{NnSurrogate, SurrogateConfig};
 
+pub mod campaign;
 pub mod timing;
 
 /// Standard seed for all benches (fixtures must be identical across runs).

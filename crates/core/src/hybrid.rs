@@ -22,6 +22,7 @@
 //! quarantine with re-admission, and a terminal simulator-only `Degraded`
 //! mode — a faulty simulator degrades the campaign, it does not kill it.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use le_linalg::Matrix;
@@ -130,8 +131,8 @@ pub struct HybridEngine<S: Simulator> {
     simulator: S,
     config: HybridConfig,
     surrogate: Option<NnSurrogate>,
-    buffer_x: Vec<Vec<f64>>,
-    buffer_y: Vec<Vec<f64>>,
+    /// Training runs `(input, output)`, oldest first.
+    buffer: VecDeque<(Vec<f64>, Vec<f64>)>,
     /// `runs_seen` at the last fit attempt that counts toward growth.
     runs_at_last_fit: u64,
     accounting: CampaignAccounting,
@@ -157,7 +158,6 @@ pub struct HybridEngine<S: Simulator> {
     queries_seen: u64,
     rolling_swaps: u64,
     rolling_deferrals: u64,
-    rolling_evictions: u64,
 }
 
 /// The cached gate predictions for the current wave: filled by one fused
@@ -203,8 +203,7 @@ impl<S: Simulator> HybridEngine<S> {
             simulator,
             config,
             surrogate: None,
-            buffer_x: Vec::new(),
-            buffer_y: Vec::new(),
+            buffer: VecDeque::new(),
             runs_at_last_fit: 0,
             accounting: CampaignAccounting::new(),
             seed_counter: 0,
@@ -218,7 +217,6 @@ impl<S: Simulator> HybridEngine<S> {
             queries_seen: 0,
             rolling_swaps: 0,
             rolling_deferrals: 0,
-            rolling_evictions: 0,
         })
     }
 
@@ -275,9 +273,10 @@ impl<S: Simulator> HybridEngine<S> {
         self.rolling_deferrals
     }
 
-    /// Runs evicted from the bounded rolling buffer.
+    /// Runs evicted from the bounded rolling buffer: every run ever
+    /// buffered that is no longer there (only the rolling cap removes runs).
     pub fn rolling_evictions(&self) -> u64 {
-        self.rolling_evictions
+        self.runs_seen - self.buffer.len() as u64
     }
 
     /// Is a deferred retrain waiting for the next wave boundary?
@@ -308,7 +307,7 @@ impl<S: Simulator> HybridEngine<S> {
 
     /// Size of the training buffer.
     pub fn buffered_runs(&self) -> usize {
-        self.buffer_x.len()
+        self.buffer.len()
     }
 
     /// Whether a surrogate is currently trained.
@@ -573,7 +572,7 @@ impl<S: Simulator> HybridEngine<S> {
         if !std::mem::take(&mut self.retrain_pending) {
             return;
         }
-        if !self.supervisor.wants_retrain() || self.buffer_x.len() < 4 {
+        if !self.supervisor.wants_retrain() || self.buffer.len() < 4 {
             return;
         }
         let _t = le_obs::trace_span!("hybrid.rolling.swap");
@@ -597,7 +596,7 @@ impl<S: Simulator> HybridEngine<S> {
     /// dispatch), is counted and reported to the supervisor's quarantine
     /// path; whether it moves the growth mark is the caller's decision.
     fn fit(&mut self, boost: usize) -> Result<()> {
-        let n = self.buffer_x.len();
+        let n = self.buffer.len();
         if n < 4 {
             return Err(LeError::InsufficientData(format!("{n} buffered runs")));
         }
@@ -605,8 +604,9 @@ impl<S: Simulator> HybridEngine<S> {
         let mut x = Matrix::zeros(n + boost, self.simulator.input_dim());
         let mut y = Matrix::zeros(n + boost, self.simulator.output_dim());
         for (row, i) in (0..n).chain(n - boost..n).enumerate() {
-            x.row_mut(row).copy_from_slice(&self.buffer_x[i]);
-            y.row_mut(row).copy_from_slice(&self.buffer_y[i]);
+            let (bx, by) = &self.buffer[i];
+            x.row_mut(row).copy_from_slice(bx);
+            y.row_mut(row).copy_from_slice(by);
         }
         let _t = le_obs::trace_span!("hybrid.retrain");
         let sp = le_obs::timed_span!("hybrid.retrain");
@@ -640,10 +640,8 @@ impl<S: Simulator> HybridEngine<S> {
     /// Evict the oldest runs past the rolling buffer cap.
     fn enforce_rolling_cap(&mut self) {
         if let Some(cfg) = self.rolling {
-            while self.buffer_x.len() > cfg.buffer_cap {
-                self.buffer_x.remove(0);
-                self.buffer_y.remove(0);
-                self.rolling_evictions += 1;
+            while self.buffer.len() > cfg.buffer_cap {
+                self.buffer.pop_front();
                 le_obs::counter!("hybrid.rolling.evicted").inc();
             }
         }
@@ -691,8 +689,7 @@ impl<S: Simulator> HybridEngine<S> {
                     // query, not a child of the sim.
                     drop(trace_sp);
                     le_obs::counter!("hybrid.simulations").inc();
-                    self.buffer_x.push(input.to_vec());
-                    self.buffer_y.push(output.clone());
+                    self.buffer.push_back((input.to_vec(), output.clone()));
                     self.runs_seen += 1;
                     self.enforce_rolling_cap();
                     self.maybe_retrain();
@@ -731,11 +728,10 @@ impl<S: Simulator> HybridEngine<S> {
                 "seed inputs/outputs length mismatch".into(),
             ));
         }
-        self.buffer_x.extend_from_slice(x);
-        self.buffer_y.extend_from_slice(y);
+        self.buffer.extend(x.iter().cloned().zip(y.iter().cloned()));
         self.runs_seen += x.len() as u64;
         self.enforce_rolling_cap();
-        if self.buffer_x.len() >= self.config.min_training_runs {
+        if self.buffer.len() >= self.config.min_training_runs {
             self.fit(0)?;
         }
         Ok(())
@@ -1248,6 +1244,10 @@ mod tests {
         assert_eq!(engine.runs_seen(), 80);
         assert!(engine.buffered_runs() <= 16, "{}", engine.buffered_runs());
         assert!(engine.rolling_evictions() >= 64);
+        assert_eq!(
+            engine.rolling_evictions(),
+            engine.runs_seen() - engine.buffered_runs() as u64
+        );
         // Growth triggers kept firing off runs_seen even though the
         // buffer length plateaued at the cap.
         assert!(engine.rolling_swaps() >= 3, "{}", engine.rolling_swaps());

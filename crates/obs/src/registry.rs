@@ -48,9 +48,10 @@ fn shards() -> [Pad; N_SHARDS] {
     std::array::from_fn(|_| Pad::zero())
 }
 
-/// Recover a mutex guard whether or not a holder panicked; every critical
-/// section here is a handful of map operations, so state stays consistent.
-fn relock<'a, T>(
+/// Recover a mutex guard whether or not a holder panicked. Every critical
+/// section in this crate (registry maps, trace rings and names) is a
+/// handful of plain updates, so state stays consistent.
+pub(crate) fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
     r.unwrap_or_else(PoisonError::into_inner)

@@ -231,8 +231,8 @@ impl Snapshot {
     }
 }
 
-/// Escape a string for a JSON string literal.
-fn escape(s: &str) -> String {
+/// Escape a string for a JSON string literal (snapshot and trace exports).
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

@@ -47,8 +47,11 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::registry::relock;
+use crate::snapshot::escape;
 
 /// Default per-thread journal capacity (events), overridable with the
 /// `LE_TRACE_CAP` environment variable (read once, at journal creation).
@@ -204,14 +207,6 @@ struct Journal {
     names: Mutex<Vec<String>>,
     next_id: AtomicU64,
     next_tid: AtomicU64,
-}
-
-/// Recover a mutex guard even if a panicking thread poisoned it; every
-/// critical section here is a few plain field updates.
-fn relock<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 fn journal() -> &'static Journal {
@@ -648,25 +643,6 @@ fn render_group(nodes: &[CanonNode], depth: usize, out: &mut String) {
         render_group(&n.children, depth + 1, out);
         i = j;
     }
-}
-
-/// Escape a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Write the journal to `results/TRACE_<run>.json` (Chrome trace format)

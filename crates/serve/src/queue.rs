@@ -25,7 +25,9 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Recover a usable guard from a poisoned lock: the queue holds plain
 /// data, so the invariant cannot be torn by an unwinding holder.
-fn relock<'a, T>(r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>) -> MutexGuard<'a, T> {
+pub(crate) fn relock<'a, T>(
+    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
+) -> MutexGuard<'a, T> {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -28,7 +28,7 @@
 //!   `serve.latency` prefix (excluded from snapshot diffing; summarized
 //!   as p50/p99/p999 in the [`ServeReport`]).
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex};
 
 use le_obs::Stopwatch;
 use learning_everywhere::hybrid::QueryResult;
@@ -36,7 +36,7 @@ use learning_everywhere::{HybridEngine, LeError, Result, Simulator};
 
 use crate::admission::{AdmissionController, TenantQuota};
 use crate::loadgen::Workload;
-use crate::queue::IngressQueue;
+use crate::queue::{relock, IngressQueue};
 
 /// Histogram bounds for the serve latency histograms (seconds): a
 /// log-ish ladder from 10 µs to 10 s plus the implicit overflow bucket.
@@ -141,14 +141,6 @@ pub struct ServeReport {
     pub row_errors: u64,
     /// Wall-clock latency summary (non-deterministic).
     pub latency: LatencySummary,
-}
-
-/// See [`relock`][crate::queue] — plain-data locks are safe to re-enter
-/// after a poisoning unwind.
-fn relock<'a, T>(
-    r: std::result::Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Closed-loop completion board: clients park until their sequence

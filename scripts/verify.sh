@@ -5,33 +5,41 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# digest_invariant <bin> [per-thread test cmd…]: run the le-bench binary
-# <bin> at LE_POOL_THREADS=1, 4 and 7 and require the `digest 0x…` line it
-# prints to be byte-identical at every width. <bin> is split on spaces, so
-# "<name> -- <args>" passes arguments. After each width the optional test
-# command runs under the same LE_POOL_THREADS. Leaves the digest in
-# $digest and the 1-thread output in $first_out.
+# digest_invariant <bin> <digest> [per-thread test cmd…]: run the le-bench
+# binary <bin> at LE_POOL_THREADS=1, 4 and 7 and require the `digest 0x…`
+# line it prints to equal <digest> at every width, so a change that moves
+# every answer the same way at every width still fails. Like the golden
+# hashes in tests/golden_trajectories.rs, a pin is re-derived only on
+# purpose, after an intended numerical change, with the reason written
+# down. <bin> is split on spaces, so "<name> -- <args>"
+# passes arguments. The binary's own exit status is its acceptance verdict
+# (1: a threshold missed, 2: setup failed); its stderr is shown only then.
+# After each width the optional test command runs under the same
+# LE_POOL_THREADS.
 digest_invariant() {
   bin="$1"
-  shift
+  want="$2"
+  shift 2
   name="${bin%% *}"
-  digest=""
+  err="$(mktemp)"
   for threads in 1 4 7; do
-    out="$(LE_POOL_THREADS=$threads cargo run -q --release --offline -p le-bench --bin $bin 2>/dev/null)"
-    d="$(printf '%s\n' "$out" | sed -n 's/^digest //p')"
-    [ -n "$d" ] || { echo "$name printed no digest at LE_POOL_THREADS=$threads" >&2; exit 1; }
-    if [ -z "$digest" ]; then
-      digest="$d"
-      first_out="$out"
-    elif [ "$d" != "$digest" ]; then
-      echo "$name digest diverged: $digest vs $d (LE_POOL_THREADS=$threads)" >&2
+    out="$(LE_POOL_THREADS=$threads cargo run -q --release --offline -p le-bench --bin $bin 2>"$err")" || {
+      status=$?
+      cat "$err" >&2
+      echo "$name exited $status at LE_POOL_THREADS=$threads" >&2
       exit 1
-    fi
+    }
+    d="$(printf '%s\n' "$out" | sed -n 's/^digest //p')"
+    [ "$d" = "$want" ] || {
+      echo "$name digest ${d:-missing} at LE_POOL_THREADS=$threads, pinned $want" >&2
+      exit 1
+    }
     if [ $# -gt 0 ]; then
       (export LE_POOL_THREADS=$threads; "$@")
     fi
   done
-  echo "    digest $digest at all thread counts"
+  rm -f "$err"
+  echo "    digest $want at all thread counts"
 }
 
 echo "==> cargo build --release --offline --workspace"
@@ -85,17 +93,17 @@ grep -q '"bench": "surrogate_batch"' results/BENCH_surrogate_batch.json
 
 # Batched-surrogate gate, part 2: the engine's determinism contract. The
 # bench's digest folds deterministic batch outputs and one fused MC-dropout
-# evaluation; it must be byte-identical at any LE_POOL_THREADS, and the
+# evaluation; it must equal its pin at any LE_POOL_THREADS, and the
 # batched HybridEngine path must stay bit-identical to sequential queries
 # at the same pool widths (tests/surrogate_batch_equivalence.rs). The
 # engine splits row blocks across the pool, so le-nn's own suite (with the
 # bitwise reference-oracle test of the block kernel) runs at each width.
-echo "==> surrogate batch: digest invariance + query_batch equivalence + le-nn at LE_POOL_THREADS=1/4/7"
+echo "==> surrogate batch: pinned digest + query_batch equivalence + le-nn at LE_POOL_THREADS=1/4/7"
 surrogate_suites() {
   cargo test -q --offline --test surrogate_batch_equivalence
   cargo test -q --offline -p le-nn
 }
-digest_invariant "surrogate_batch -- --samples 1" surrogate_suites
+digest_invariant "surrogate_batch -- --samples 1" 0x6d6dcdcb3ffc784e surrogate_suites
 
 # Observability regression gate: regenerate the deterministic OBS snapshots
 # with a pinned pool, then diff them — plus the bench medians written just
@@ -114,41 +122,29 @@ cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
 
 # Fault-campaign gate: a seeded campaign with injected simulator errors,
 # NaN outputs, a worker panic, and DES stalls must complete (every query
-# served), produce a byte-identical digest at any LE_POOL_THREADS, and
+# served), reproduce its pinned digest at any LE_POOL_THREADS, and
 # replicate the committed degradation counters exactly (the thread-variant
 # pool-schedule metrics are excluded by prefix).
-echo "==> fault campaign: digest invariance at LE_POOL_THREADS=1/4/7 + obsctl diff"
-digest_invariant fault_campaign
+echo "==> fault campaign: pinned digest at LE_POOL_THREADS=1/4/7 + obsctl diff"
+digest_invariant fault_campaign 0x72d717cb5c499028
 cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
   --baseline results/baselines/faults --current results \
   --tolerance 100 --ignore le_pool.
 
-# Serving gate: the le-serve frontend must push >= 1M rows through the
-# batched waves, reproduce a byte-identical digest (workload identity,
-# every served output bit, every typed rejection, serve/engine counters)
-# at any LE_POOL_THREADS, stay bitwise-equivalent to the direct engine
-# path at every pool width (tests/serve_equivalence.rs + the crate's own
-# queue/loadgen/admission suites), keep tail latency under the ceiling,
-# and replicate the committed serve counters exactly (thread-variant
-# pool metrics and the wall-clock serve.latency histograms are excluded).
-echo "==> serve campaign: digest invariance + equivalence at LE_POOL_THREADS=1/4/7"
+# Serving gate: the le-serve frontend must reproduce its pinned digest
+# (workload identity, every served output bit, every typed rejection,
+# serve/engine counters) at any LE_POOL_THREADS, stay bitwise-equivalent
+# to the direct engine path at every pool width (tests/serve_equivalence.rs
+# + the crate's own queue/loadgen/admission suites), and replicate the
+# committed serve counters exactly (thread-variant pool metrics and the
+# wall-clock serve.latency histograms are excluded). serve_campaign itself
+# exits 1 at any width that serves < 1M rows or has a p99 above 250 ms.
+echo "==> serve campaign: pinned digest + equivalence at LE_POOL_THREADS=1/4/7"
 serve_suites() {
   cargo test -q --offline --test serve_equivalence
   cargo test -q --offline -p le-serve
 }
-digest_invariant serve_campaign serve_suites
-rows="$(printf '%s\n' "$first_out" | sed -n 's/^rows_served //p')"
-[ -n "$rows" ] || { echo "serve_campaign printed no rows_served" >&2; exit 1; }
-awk "BEGIN { exit !($rows >= 1000000) }" || {
-  echo "serve campaign served only $rows rows (acceptance floor: 1000000)" >&2
-  exit 1
-}
-p99="$(printf '%s\n' "$first_out" | sed -n 's/.* p99_us \([0-9.]*\).*/\1/p')"
-[ -n "$p99" ] || { echo "serve_campaign printed no p99" >&2; exit 1; }
-awk "BEGIN { exit !($p99 <= 250000.0) }" || {
-  echo "serve campaign p99 latency ${p99}us exceeds the 250ms ceiling" >&2
-  exit 1
-}
+digest_invariant serve_campaign 0x12e0287a11114369 serve_suites
 cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
   --baseline results/baselines/serve --current results \
   --tolerance 100 --ignore le_pool. --ignore serve.latency
@@ -157,12 +153,12 @@ cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
 # surrogate degrading >= 3x in RMSE while the rolling-retrain engine holds
 # accuracy without ever pausing serving, then survive a chaos arm that
 # composes fault injection with saturated le-serve traffic over a drifting
-# pool. The whole campaign folds into one digest that must be
-# byte-identical at any LE_POOL_THREADS, and the committed drift/staleness/
+# pool. The whole campaign folds into one digest that must equal its pin
+# at any LE_POOL_THREADS, and the committed drift/staleness/
 # rolling counters must replicate exactly (thread-variant pool metrics and
 # wall-clock serve.latency histograms are excluded).
-echo "==> drift campaign: digest invariance at LE_POOL_THREADS=1/4/7 + obsctl diff"
-digest_invariant drift_campaign
+echo "==> drift campaign: pinned digest at LE_POOL_THREADS=1/4/7 + obsctl diff"
+digest_invariant drift_campaign 0xbefad16bd6329571
 cargo run -q --release --offline -p le-obs --bin obsctl -- diff \
   --baseline results/baselines/drift --current results \
   --tolerance 100 --ignore le_pool. --ignore serve.latency

@@ -9,34 +9,15 @@
 
 use std::collections::HashMap;
 
+use le_bench::campaign::Fanout;
 use learning_everywhere::surrogate::SurrogateConfig;
-use learning_everywhere::{HybridConfig, HybridEngine, Simulator};
-
-/// A simulator that provably dispatches pool tasks: its "physics" is a
-/// parallel map over 64 indices.
-struct FanoutSimulator;
-
-impl Simulator for FanoutSimulator {
-    fn input_dim(&self) -> usize {
-        2
-    }
-    fn output_dim(&self) -> usize {
-        1
-    }
-    fn simulate(&self, input: &[f64], seed: u64) -> learning_everywhere::Result<Vec<f64>> {
-        let parts = le_pool::par_map_index(64, |i| {
-            let x = input[0] + input[1] * (i as f64 + seed as f64 * 1e-6);
-            (x * 0.01).sin()
-        });
-        Ok(vec![parts.iter().sum::<f64>() / 64.0])
-    }
-}
+use learning_everywhere::{HybridConfig, HybridEngine};
 
 #[test]
 fn exported_trace_links_every_pool_task_to_its_query_root() {
     le_obs::trace::set_enabled(true);
     let mut engine = HybridEngine::new(
-        FanoutSimulator,
+        Fanout,
         HybridConfig {
             uncertainty_threshold: 1e-12, // never trust the surrogate:
             // every query simulates, so every query fans out pool tasks
