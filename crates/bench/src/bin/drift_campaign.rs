@@ -225,7 +225,8 @@ fn main() {
     let mut pre = (Vec::new(), 0u64); // (errors, lookups)
     let mut fin = (Vec::new(), 0u64);
     for (w, wave) in stream.chunks(WAVE).enumerate() {
-        let results = match engine.query_batch(wave) {
+        let answered = engine.query_each(&wave.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let results: Vec<_> = match answered.and_then(|r| r.into_iter().collect()) {
             Ok(r) => r,
             // Acceptance: the rolling engine answers every wave.
             Err(e) => return require(false, &format!("wave {w} failed under drift: {e}")),

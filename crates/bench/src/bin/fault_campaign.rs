@@ -71,7 +71,7 @@ fn main() {
     let n_queries = 64u64;
     let mut served = 0u64;
     // Queries flow through the batched gate in waves of 16: by the
-    // `query_batch` contract the served answers are bit-identical to
+    // `query_each` contract the served answers are bit-identical to
     // sequential `query` calls, and this campaign exercises that contract
     // under fault injection (mid-batch retrains, quarantines, and an armed
     // worker panic all land inside batches).
@@ -79,7 +79,8 @@ fn main() {
         .map(|q| vec![0.05 * (q % 24) as f64, 0.2 + 0.003 * q as f64])
         .collect();
     for (c, chunk) in inputs.chunks(16).enumerate() {
-        let results = match engine.query_batch(chunk) {
+        let answered = engine.query_each(&chunk.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let results: Vec<_> = match answered.and_then(|r| r.into_iter().collect()) {
             Ok(r) => r,
             // Acceptance: the supervised campaign serves every query.
             Err(e) => return require(false, &format!("batch {c} failed despite supervision: {e}")),

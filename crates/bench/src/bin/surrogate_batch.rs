@@ -219,8 +219,9 @@ fn main() {
         }
     }
     let mut mc_probe = surrogate.clone();
+    let mc_rows: Vec<&[f64]> = probes[..64].iter().map(Vec::as_slice).collect();
     let fused = mc_probe
-        .predict_with_uncertainty_batch(&probes[..64])
+        .predict_with_uncertainty_rows(&mc_rows)
         .expect("probe rows");
     for p in &fused {
         for &v in p.mean.iter().chain(p.std.iter()) {
@@ -269,10 +270,9 @@ fn main() {
 
     // Fused MC-dropout path: the gate's cost, batched.
     let mut mc_batch = surrogate.clone();
-    let mc_rows: Vec<Vec<f64>> = probes[..64].to_vec();
     let t_mc_batch = harness.bench("surrogate_batch/mc_batch/64", || {
         mc_batch
-            .predict_with_uncertainty_batch(&mc_rows)
+            .predict_with_uncertainty_rows(&mc_rows)
             .expect("probe rows")
             .len()
     });
@@ -346,7 +346,7 @@ fn main() {
         let t = Instant::now();
         for _ in 0..MC64_REPS {
             sink += mc_batch
-                .predict_with_uncertainty_batch(&mc_rows)
+                .predict_with_uncertainty_rows(&mc_rows)
                 .expect("probe rows")[0]
                 .mean[0];
         }

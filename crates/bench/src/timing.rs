@@ -18,6 +18,8 @@ use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 
+use le_obs::json::escape;
+
 /// One recorded measurement (all values are seconds per iteration).
 #[derive(Debug, Clone)]
 pub struct Measurement {
@@ -260,19 +262,6 @@ fn render_json(name: &str, samples: usize, entries: &[Measurement]) -> String {
     out
 }
 
-/// Escape a string for a JSON literal (names are plain ASCII identifiers,
-/// but quotes and backslashes must never corrupt the document).
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Human-readable seconds.
 fn fmt_time(s: f64) -> String {
     if s >= 1.0 {
@@ -377,11 +366,18 @@ mod tests {
                 max_s: 3.5e-3,
                 iters: 2,
             },
+            Measurement {
+                name: "grp/\"q\"\\back\nline".into(),
+                median_s: 4.0e-9,
+                min_s: 3.0e-9,
+                max_s: 5.0e-9,
+                iters: 9,
+            },
         ];
         let doc = parse_bench_json(&render_json("demo", 7, &entries)).unwrap();
         assert_eq!(doc.bench, "demo");
         assert_eq!(doc.samples, 7);
-        assert_eq!(doc.entries.len(), 2);
+        assert_eq!(doc.entries.len(), 3);
         for (orig, back) in entries.iter().zip(doc.entries.iter()) {
             assert_eq!(orig.name, back.name);
             assert_eq!(orig.iters, back.iters);

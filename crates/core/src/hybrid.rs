@@ -1,14 +1,20 @@
 //! [`HybridEngine`] — the MLaroundHPC execution engine.
 //!
-//! Every query goes through the gate:
+//! Every row of a wave ([`HybridEngine::query_each`]) passes three stages,
+//! one per §III-D time term:
 //!
-//! 1. If a surrogate exists, evaluate it with MC-dropout uncertainty.
-//! 2. If the largest per-output std is below the threshold τ, serve the
-//!    prediction (a **lookup** — microseconds).
-//! 3. Otherwise run the real simulator, serve its result, and append the
-//!    pair to the training buffer — "no run is wasted. Training needs both
-//!    successful and unsuccessful runs" (§II-C1).
-//! 4. Retrain when the buffer has grown by the configured fraction.
+//! 1. **Gate** (lookup time). While the supervisor trusts a surrogate,
+//!    evaluate it with MC-dropout uncertainty — one fused evaluation per
+//!    wave — and route the row: a lookup when the largest per-output std
+//!    is below the threshold τ, otherwise a simulation with its reason
+//!    (untrusted or cold surrogate, model error, non-finite prediction,
+//!    uncertain, audit sample).
+//! 2. **Resolve** (simulation time). Serve the prediction (microseconds),
+//!    or run the real simulator under the supervisor's retry budget.
+//! 3. **Learn** (learning time). Append each simulated pair to the
+//!    training buffer — "no run is wasted. Training needs both successful
+//!    and unsuccessful runs" (§II-C1) — retrain when the buffer has grown
+//!    by the configured fraction, and feed the drift staleness detector.
 //!
 //! All four §III-D phase times are recorded into a
 //! [`le_perfmodel::CampaignAccounting`], so the engine reports its own
@@ -27,6 +33,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use le_linalg::Matrix;
 use le_perfmodel::CampaignAccounting;
+use le_uq::Prediction;
 
 use crate::simulator::Simulator;
 use crate::staleness::{StalenessConfig, StalenessDetector};
@@ -83,11 +90,14 @@ impl Default for HybridConfig {
 /// ([`HybridEngine::enable_rolling_retrain`]).
 ///
 /// With rolling retrain enabled the engine retrains **without pausing
-/// serving**: a mid-wave retrain trigger is *deferred* — the in-flight wave
+/// serving**: a mid-wave growth trigger is *deferred* — the in-flight wave
 /// keeps answering from the frozen surrogate snapshot — and the swap runs
 /// at the deterministic wave boundary (the end of the current
-/// `query`/`query_batch`/`query_each` invocation). The training buffer
-/// becomes a recency-weighted sliding window: bounded at `buffer_cap` runs
+/// [`HybridEngine::query_each`] call). Without it, growth triggers fit
+/// inline, mid-wave. In either mode a retrain requested by the staleness
+/// detector runs at the boundary, and [`HybridEngine::rolling_swaps`]
+/// counts every successful boundary retrain. In rolling mode the training
+/// buffer becomes a recency-weighted sliding window: bounded at `buffer_cap` runs
 /// (oldest evicted first, `hybrid.rolling.evicted`), with the newest
 /// `recent_boost` runs duplicated into each fit so the model tracks the
 /// drifted distribution faster than a uniform window would.
@@ -126,6 +136,11 @@ impl Default for RollingRetrainConfig {
     }
 }
 
+/// A typed [`LeError::InvalidConfig`] rejection.
+fn invalid<T>(msg: &str) -> Result<T> {
+    Err(LeError::InvalidConfig(msg.into()))
+}
+
 /// The MLaroundHPC engine wrapping a [`Simulator`].
 pub struct HybridEngine<S: Simulator> {
     simulator: S,
@@ -137,10 +152,8 @@ pub struct HybridEngine<S: Simulator> {
     runs_at_last_fit: u64,
     accounting: CampaignAccounting,
     seed_counter: u64,
-    failed_retrains: u64,
-    /// Bumped every time a freshly trained surrogate is installed; the
-    /// batched query path uses it to invalidate gate predictions cached
-    /// from a superseded model (see `query_rows`).
+    /// Bumped every time a freshly trained surrogate is installed; the gate
+    /// uses it to drop a wave cache filled by a superseded model.
     surrogate_generation: u64,
     supervisor: Supervisor,
     /// Rolling-retrain mode, off by default (see
@@ -165,10 +178,45 @@ pub struct HybridEngine<S: Simulator> {
 /// as the surrogate that produced it is replaced (generation bump) — a stale
 /// prediction is never served.
 struct Wave {
-    preds: Vec<le_uq::Prediction>,
+    preds: Vec<Prediction>,
     base: usize,
     generation: u64,
     per_row_secs: f64,
+}
+
+/// Why the gate sends a row to the simulator.
+enum Why {
+    /// No surrogate is trained yet, or the supervisor has benched it.
+    Untrusted,
+    /// The fused evaluation returned an error or panicked.
+    ModelError,
+    /// The row's prediction mean or std is not finite.
+    NonFinite,
+    /// The largest per-output std is not below τ.
+    Uncertain,
+    /// The gate would have served the row; the audit cadence diverts it.
+    Audit,
+}
+
+/// One row's gate decision, borrowing its prediction from the wave cache.
+enum Route<'w> {
+    /// Serve the prediction; the `f64` is the row's amortized share of the
+    /// fused evaluation, in seconds.
+    Lookup(&'w Prediction, f64),
+    /// Run the simulator. The prediction is kept when it was finite
+    /// (`Uncertain`, `Audit`): it gives the row's gate std and the
+    /// staleness detector's labelled pair.
+    Simulate(Why, Option<&'w Prediction>),
+}
+
+impl<'w> Route<'w> {
+    /// The finite prediction the gate consulted, if any.
+    fn prediction(&self) -> Option<&'w Prediction> {
+        match *self {
+            Route::Lookup(pred, _) | Route::Simulate(_, Some(pred)) => Some(pred),
+            Route::Simulate(_, None) => None,
+        }
+    }
 }
 
 impl<S: Simulator> HybridEngine<S> {
@@ -185,19 +233,13 @@ impl<S: Simulator> HybridEngine<S> {
         supervision: SupervisorConfig,
     ) -> Result<Self> {
         if config.uncertainty_threshold <= 0.0 {
-            return Err(LeError::InvalidConfig(
-                "uncertainty threshold must be positive".into(),
-            ));
+            return invalid("uncertainty threshold must be positive");
         }
         if config.min_training_runs < 4 {
-            return Err(LeError::InvalidConfig(
-                "need at least 4 runs before training".into(),
-            ));
+            return invalid("need at least 4 runs before training");
         }
         if config.retrain_growth <= 1.0 {
-            return Err(LeError::InvalidConfig(
-                "retrain growth factor must exceed 1".into(),
-            ));
+            return invalid("retrain growth factor must exceed 1");
         }
         Ok(Self {
             simulator,
@@ -207,7 +249,6 @@ impl<S: Simulator> HybridEngine<S> {
             runs_at_last_fit: 0,
             accounting: CampaignAccounting::new(),
             seed_counter: 0,
-            failed_retrains: 0,
             surrogate_generation: 0,
             supervisor: Supervisor::new(supervision)?,
             rolling: None,
@@ -227,14 +268,10 @@ impl<S: Simulator> HybridEngine<S> {
     /// untouched unless a caller asks for it.
     pub fn enable_rolling_retrain(&mut self, config: RollingRetrainConfig) -> Result<()> {
         if config.buffer_cap < 4 {
-            return Err(LeError::InvalidConfig(
-                "rolling buffer_cap must be at least 4".into(),
-            ));
+            return invalid("rolling buffer_cap must be at least 4");
         }
         if config.recent_boost > config.buffer_cap {
-            return Err(LeError::InvalidConfig(
-                "rolling recent_boost must not exceed buffer_cap".into(),
-            ));
+            return invalid("rolling recent_boost must not exceed buffer_cap");
         }
         self.rolling = Some(config);
         self.enforce_rolling_cap();
@@ -251,18 +288,14 @@ impl<S: Simulator> HybridEngine<S> {
         Ok(())
     }
 
-    /// The attached staleness detector, if any.
-    pub fn staleness(&self) -> Option<&StalenessDetector> {
-        self.staleness.as_ref()
-    }
-
     /// Total runs ever appended to the training buffer (not reduced by
     /// rolling eviction).
     pub fn runs_seen(&self) -> u64 {
         self.runs_seen
     }
 
-    /// Rolling-mode swaps: retrains executed at a wave boundary.
+    /// Successful retrains at a wave boundary: deferred growth triggers
+    /// in rolling mode, and staleness-requested retrains in either mode.
     pub fn rolling_swaps(&self) -> u64 {
         self.rolling_swaps
     }
@@ -279,13 +312,8 @@ impl<S: Simulator> HybridEngine<S> {
         self.runs_seen - self.buffer.len() as u64
     }
 
-    /// Is a deferred retrain waiting for the next wave boundary?
-    pub fn retrain_pending(&self) -> bool {
-        self.retrain_pending
-    }
-
     /// The degradation-ladder state machine (rung, retries, quarantines,
-    /// last retrain error).
+    /// retrain failures, last retrain error).
     pub fn supervisor(&self) -> &Supervisor {
         &self.supervisor
     }
@@ -324,93 +352,55 @@ impl<S: Simulator> HybridEngine<S> {
     /// accuracy requirements grow).
     pub fn set_uncertainty_threshold(&mut self, tau: f64) -> Result<()> {
         if tau <= 0.0 {
-            return Err(LeError::InvalidConfig(
-                "uncertainty threshold must be positive".into(),
-            ));
+            return invalid("uncertainty threshold must be positive");
         }
         self.config.uncertainty_threshold = tau;
         Ok(())
     }
 
-    /// Answer a query through the UQ gate — a batch of one (see
-    /// [`HybridEngine::query_batch`] for the batching/determinism
-    /// contract).
+    /// Answer one query: a wave of one through
+    /// [`HybridEngine::query_each`].
     pub fn query(&mut self, input: &[f64]) -> Result<QueryResult> {
-        let mut results = self.query_rows(&[input])?;
-        Ok(results.pop().expect("one row in, one result out")) // lint:allow(no-panic): query_rows returns exactly one result per input row
+        self.query_each(&[input])?
+            .pop()
+            .unwrap_or_else(|| Err(LeError::Model("one row in, no result out".into())))
     }
 
-    /// Answer a whole batch of queries through the UQ gate with **one
-    /// fused MC-dropout evaluation per wave** instead of one surrogate
-    /// pass per query.
+    /// Answer a wave of queries, one `Result` per row, with **one fused
+    /// MC-dropout evaluation per wave** instead of one surrogate pass per
+    /// query. Each row goes gate → resolve → learn; a row whose simulation
+    /// exhausts its retry budget yields `Err` *for that row*, and the next
+    /// row is served as usual — one poisoned request does not lose the
+    /// wave.
     ///
     /// Rows are processed strictly in index order and the result is
-    /// **bit-identical** to issuing the same inputs through sequential
-    /// [`HybridEngine::query`] calls: the surrogate draws its dropout
-    /// masks from stateless per-consult substreams (row `r` of a wave
-    /// consumes the same consult ordinal it would consume sequentially),
-    /// and every per-row side effect — admit/reject accounting, lookup and
-    /// simulation counters, supervisor anomaly reporting, retrain
-    /// triggers, and the per-row `hybrid.query` trace root — fires in the
-    /// same order with the same values. Only wall-clock attribution
-    /// differs: the fused gate evaluation is timed once per wave and
-    /// amortized uniformly over the wave's admitted rows.
+    /// **bit-identical** to issuing the same inputs as sequential
+    /// [`HybridEngine::query`] calls: the surrogate draws its dropout masks
+    /// from stateless per-consult substreams (row `r` of a wave consumes
+    /// the same consult ordinal it would consume sequentially), and every
+    /// per-row side effect — lookup and simulation accounting, counters,
+    /// supervisor transitions, retrain triggers, seed-counter advances and
+    /// the per-row `hybrid.query` trace root — fires in the same order with
+    /// the same values, wherever earlier rows failed. Only wall-clock
+    /// attribution differs: the fused evaluation is timed once per wave and
+    /// amortized uniformly over the wave's rows.
     ///
     /// A *wave* is the maximal run of rows gated by one surrogate
-    /// snapshot: a mid-batch retrain (a rejected row's simulation can
-    /// trigger one) or a supervisor trust flip invalidates the cached
-    /// predictions, and the next trusted row starts a new wave against the
-    /// fresh surrogate — exactly what sequential queries would see. If a
-    /// row's simulation exhausts its retry budget the error is returned
-    /// immediately (earlier rows' side effects stand, as they would
-    /// sequentially).
-    pub fn query_batch(&mut self, inputs: &[Vec<f64>]) -> Result<Vec<QueryResult>> {
-        let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
-        self.query_rows(&refs)
-    }
-
-    /// Serving-path variant of [`HybridEngine::query_batch`]: per-row
-    /// results instead of all-or-nothing. A row whose simulation exhausts
-    /// its retry budget yields `Err` *for that row* and serving continues
-    /// with the next row — one poisoned request must not lose the whole
-    /// wave. Every side effect (gate consults, counters, supervisor
-    /// transitions, retrain triggers, seed-counter advances) fires in the
-    /// same order with the same values as sequential queries, so served
-    /// rows are bit-identical to the sequential/batched paths regardless
-    /// of where earlier rows failed.
+    /// snapshot: a mid-wave inline retrain or a supervisor trust flip
+    /// invalidates the cached predictions, and the next trusted row starts
+    /// a new wave against the fresh surrogate — exactly what sequential
+    /// queries would see. After the last row, the wave boundary runs any
+    /// deferred or staleness-requested retrain.
     ///
     /// The outer `Result` only reports up-front validation (an input row
     /// of the wrong dimension) — the serving layer screens dimensions at
     /// admission, so a well-formed wave never sees it.
     pub fn query_each(&mut self, inputs: &[&[f64]]) -> Result<Vec<Result<QueryResult>>> {
-        self.query_rows_inner(inputs, false)
-    }
-
-    /// Shared row-slice implementation behind [`HybridEngine::query`] and
-    /// [`HybridEngine::query_batch`]: stop-at-first-error semantics.
-    fn query_rows(&mut self, inputs: &[&[f64]]) -> Result<Vec<QueryResult>> {
-        // `stop_on_error` makes the first Err the last element, so
-        // collecting reproduces the historical behaviour exactly: earlier
-        // rows' side effects stand, the error surfaces, nothing after it
-        // runs.
-        self.query_rows_inner(inputs, true)?.into_iter().collect()
-    }
-
-    /// The gated wave loop behind both entry points: per row, gate →
-    /// lookup or simulate → staleness feed; then the wave boundary.
-    fn query_rows_inner(
-        &mut self,
-        inputs: &[&[f64]],
-        stop_on_error: bool,
-    ) -> Result<Vec<Result<QueryResult>>> {
-        for input in inputs {
-            if input.len() != self.simulator.input_dim() {
-                return Err(LeError::InvalidConfig(format!(
-                    "expected {} inputs, got {}",
-                    self.simulator.input_dim(),
-                    input.len()
-                )));
-            }
+        let dim = self.simulator.input_dim();
+        if let Some(got) = inputs.iter().map(|x| x.len()).find(|&n| n != dim) {
+            return Err(LeError::InvalidConfig(format!(
+                "expected {dim} inputs, got {got}"
+            )));
         }
         let mut wave: Option<Wave> = None;
         let mut results = Vec::with_capacity(inputs.len());
@@ -421,136 +411,153 @@ impl<S: Simulator> HybridEngine<S> {
             // gate evaluation nests under the root of the row that starts
             // the wave.
             let _trace = le_obs::trace_root!("hybrid.query");
-            // Audit sampling (rolling mode): every Nth query by serial
-            // index is simulated even if the gate would admit it — the
-            // ground truth the staleness detector and the rolling buffer
-            // need when an extrapolating surrogate is overconfident. The
-            // decision is a pure function of the index: thread-invariant.
-            let audit = self.rolling.is_some_and(|c| {
-                c.audit_every > 0 && self.queries_seen.is_multiple_of(c.audit_every)
-            });
-            self.queries_seen += 1;
-            let gated = self.consult_gate(inputs, i, &mut wave);
-            let gate_std = gated.map(|(pred, _)| pred.max_std());
-            let admit = gate_std.is_some_and(|std| std < self.config.uncertainty_threshold);
-            let result = match gated {
-                Some((pred, secs)) if admit && !audit => {
-                    self.accounting.record_lookup(secs);
-                    le_obs::global()
-                        .span("hybrid.lookup")
-                        .record_ns((secs * 1e9) as u64);
-                    le_obs::counter!("hybrid.lookups").inc();
-                    Ok(QueryResult {
-                        output: pred.mean.clone(),
-                        source: QuerySource::Lookup,
-                        gate_std,
-                    })
-                }
-                _ => {
-                    if admit {
-                        // The gate would have admitted this row; the
-                        // audit cadence diverts it to the simulator.
-                        le_obs::counter!("hybrid.audit.simulated").inc();
-                    }
-                    self.simulate_supervised(input, gate_std)
-                }
-            };
-            self.feed_staleness(gated.map(|(pred, _)| pred), &result);
-            let failed = result.is_err();
+            let route = self.gate(inputs, i, &mut wave);
+            let result = self.resolve(input, &route);
+            self.learn(input, &route, &result);
             results.push(result);
-            if failed && stop_on_error {
-                break;
-            }
-            // With `stop_on_error` off, a failed row leaves the wave cache
-            // untouched: failed simulations never retrain, and the
-            // generation check in `consult_gate` already guards every
-            // other staleness path — the next row consults exactly the
-            // predictions it would have seen sequentially.
+            // A failed row leaves the wave cache untouched: failed
+            // simulations never retrain, and the generation check in
+            // `gate` guards every other staleness path.
         }
         // The deterministic wave boundary: a retrain that was deferred
         // mid-wave (rolling mode) or requested by the staleness detector
-        // executes here, after every row of this invocation has been
-        // answered from the frozen snapshot — serving never pauses.
+        // executes here, after every row of this call has been answered
+        // from the frozen snapshot — serving never pauses.
         self.service_pending_retrain();
         Ok(results)
     }
 
-    /// Consult the gate for row `i` — but only while the supervisor trusts
-    /// a surrogate (a quarantined or degraded one is never consulted).
-    /// When the surrogate changed since the wave cache was filled, one
-    /// fused MC-dropout evaluation over all remaining rows refills it.
-    /// Returns row `i`'s prediction and its amortized share of the fused
-    /// cost. A non-finite prediction or std — or an evaluate-time model
-    /// error or panic — is a gate anomaly: counted, reported to the
-    /// supervisor, and answered with `None`, so the row falls through to
-    /// the simulator rather than failing the query.
-    fn consult_gate<'w>(
-        &mut self,
-        inputs: &[&[f64]],
-        i: usize,
-        wave: &'w mut Option<Wave>,
-    ) -> Option<(&'w le_uq::Prediction, f64)> {
-        if !self.supervisor.trusts_surrogate() {
-            return None;
-        }
-        let surrogate = self.surrogate.as_mut()?;
+    /// The gate stage for row `i`: advance the serial query index (audit
+    /// cadence) and route the row. Only a surrogate the supervisor trusts
+    /// is consulted. When the surrogate changed since the wave cache was
+    /// filled — or a model error left it empty — one fused MC-dropout
+    /// evaluation over all remaining rows refills it. Counting the route
+    /// and reporting it to the supervisor is `resolve`'s job.
+    fn gate<'w>(&mut self, inputs: &[&[f64]], i: usize, wave: &'w mut Option<Wave>) -> Route<'w> {
+        // Audit sampling (rolling mode) is a pure function of the serial
+        // query index: thread-invariant.
+        let audit = self
+            .rolling
+            .is_some_and(|c| c.audit_every > 0 && self.queries_seen.is_multiple_of(c.audit_every));
+        self.queries_seen += 1;
+        let surrogate = match self.surrogate.as_mut() {
+            Some(s) if self.supervisor.trusts_surrogate() => s,
+            _ => return Route::Simulate(Why::Untrusted, None),
+        };
         if wave
             .as_ref()
             .is_none_or(|w| w.generation != self.surrogate_generation)
         {
-            *wave = None;
             let _t = le_obs::trace_span!("hybrid.lookup");
             // Timed with a bare stopwatch, NOT a timed_span: the
             // `hybrid.lookup` span must mirror the accounting (one record
             // per *admitted* lookup — the conformance suite pins this), so
-            // the fused cost is recorded by the caller, amortized, as each
+            // `resolve` records the fused cost, amortized, as each
             // admitted row consumes its share.
             let sw = le_obs::Stopwatch::start();
             let remaining = &inputs[i..];
-            match catch_unwind(AssertUnwindSafe(|| {
+            *wave = match catch_unwind(AssertUnwindSafe(|| {
                 surrogate.predict_with_uncertainty_rows(remaining)
             })) {
-                Ok(Ok(preds)) => {
-                    *wave = Some(Wave {
-                        preds,
-                        base: i,
-                        generation: self.surrogate_generation,
-                        per_row_secs: sw.elapsed_secs() / remaining.len() as f64,
-                    });
-                }
-                Ok(Err(_)) | Err(_) => {
-                    le_obs::counter!("gate.model_error").inc();
-                    self.supervisor.note_gate_anomaly();
-                }
-            }
+                Ok(Ok(preds)) => Some(Wave {
+                    preds,
+                    base: i,
+                    generation: self.surrogate_generation,
+                    per_row_secs: sw.elapsed_secs() / remaining.len() as f64,
+                }),
+                Ok(Err(_)) | Err(_) => None,
+            };
         }
-        let w = wave.as_ref()?;
+        let Some(w) = wave.as_ref() else {
+            return Route::Simulate(Why::ModelError, None);
+        };
         let pred = &w.preds[i - w.base];
-        if pred.mean.iter().chain(&pred.std).all(|v| v.is_finite()) {
-            self.supervisor.note_gate_ok();
-            Some((pred, w.per_row_secs))
+        // Written as `<` so that a NaN threshold admits nothing.
+        let admit = pred.max_std() < self.config.uncertainty_threshold;
+        if !pred.mean.iter().chain(&pred.std).all(|v| v.is_finite()) {
+            Route::Simulate(Why::NonFinite, None)
+        } else if !admit {
+            Route::Simulate(Why::Uncertain, Some(pred))
+        } else if audit {
+            Route::Simulate(Why::Audit, Some(pred))
         } else {
-            le_obs::counter!("gate.nonfinite").inc();
-            self.supervisor.note_gate_anomaly();
-            None
+            Route::Lookup(pred, w.per_row_secs)
         }
     }
 
-    /// Drift watch: every finite gate std feeds the sliding window, and a
+    /// The resolve stage: serve the lookup or run the supervised
+    /// simulation, and record it in the accounting. Its match is the one
+    /// place a route is counted and reported to the supervisor: a model
+    /// error or non-finite prediction is a gate anomaly (the row falls
+    /// through to the simulator rather than failing the query), and a
+    /// finite prediction resets the anomaly streak.
+    fn resolve(&mut self, input: &[f64], route: &Route) -> Result<QueryResult> {
+        let gate_std = route.prediction().map(Prediction::max_std);
+        match *route {
+            Route::Lookup(pred, secs) => {
+                self.supervisor.note_gate_ok();
+                self.accounting.record_lookup(secs);
+                le_obs::global()
+                    .span("hybrid.lookup")
+                    .record_ns((secs * 1e9) as u64);
+                le_obs::counter!("hybrid.lookups").inc();
+                return Ok(QueryResult {
+                    output: pred.mean.clone(),
+                    source: QuerySource::Lookup,
+                    gate_std,
+                });
+            }
+            Route::Simulate(Why::Uncertain, _) => self.supervisor.note_gate_ok(),
+            Route::Simulate(Why::Audit, _) => {
+                le_obs::counter!("hybrid.audit.simulated").inc();
+                self.supervisor.note_gate_ok();
+            }
+            Route::Simulate(Why::ModelError, _) => {
+                le_obs::counter!("gate.model_error").inc();
+                self.supervisor.note_gate_anomaly();
+            }
+            Route::Simulate(Why::NonFinite, _) => {
+                le_obs::counter!("gate.nonfinite").inc();
+                self.supervisor.note_gate_anomaly();
+            }
+            Route::Simulate(Why::Untrusted, _) => {}
+        }
+        let (output, secs) = self.simulate_supervised(input)?;
+        self.accounting.record_training_sim(secs);
+        le_obs::counter!("hybrid.simulations").inc();
+        Ok(QueryResult {
+            output,
+            source: QuerySource::Simulated,
+            gate_std,
+        })
+    }
+
+    /// The learn stage, after each row is answered. A successful
+    /// simulation joins the training buffer (rolling cap, then the growth
+    /// trigger in `maybe_retrain`). Then the drift watch sees the row:
+    /// every finite gate std feeds the sliding window, and a
     /// gated-then-simulated row contributes a labelled (prediction, truth)
     /// pair for the calibration check. A flag raises the typed Stale
     /// anomaly through the supervisor and requests a retrain at the wave
     /// boundary — it never fails or reroutes the query itself.
-    fn feed_staleness(&mut self, gated: Option<&le_uq::Prediction>, result: &Result<QueryResult>) {
+    fn learn(&mut self, input: &[f64], route: &Route, result: &Result<QueryResult>) {
+        let simulated = result
+            .as_ref()
+            .ok()
+            .filter(|r| r.source == QuerySource::Simulated);
+        if let Some(r) = simulated {
+            self.buffer.push_back((input.to_vec(), r.output.clone()));
+            self.runs_seen += 1;
+            self.enforce_rolling_cap();
+            self.maybe_retrain();
+        }
         let Some(det) = self.staleness.as_mut() else {
             return;
         };
-        if let Some(pred) = gated {
+        if let Some(pred) = route.prediction() {
             det.note_gate_std(pred.max_std());
-            if let Ok(r) = result {
-                if r.source == QuerySource::Simulated {
-                    det.note_labelled(pred.clone(), r.output.clone());
-                }
+            if let Some(r) = simulated {
+                det.note_labelled(pred.clone(), r.output.clone());
             }
         }
         if let Some(signal) = det.check() {
@@ -629,7 +636,6 @@ impl<S: Simulator> HybridEngine<S> {
                 Ok(())
             }
             Err(e) => {
-                self.failed_retrains += 1;
                 le_obs::counter!("hybrid.retrain_errors").inc();
                 self.supervisor.note_retrain_failure(e.clone());
                 Err(e)
@@ -650,9 +656,10 @@ impl<S: Simulator> HybridEngine<S> {
     /// Run the simulator with the supervisor's retry budget: each failed,
     /// panicked, or non-finite attempt bumps `hybrid.sim_errors` and is
     /// retried with a fresh deterministic seed (the serial seed counter
-    /// keeps advancing). Only a fully exhausted budget surfaces a typed
+    /// keeps advancing). Returns the output and the successful attempt's
+    /// seconds; only a fully exhausted budget surfaces a typed
     /// [`LeError::Simulation`] to the caller.
-    fn simulate_supervised(&mut self, input: &[f64], gate_std: Option<f64>) -> Result<QueryResult> {
+    fn simulate_supervised(&mut self, input: &[f64]) -> Result<(Vec<f64>, f64)> {
         let attempts = self.supervisor.max_attempts();
         let mut last_err = LeError::Simulation("no simulation attempt made".into());
         for attempt in 0..attempts {
@@ -661,7 +668,10 @@ impl<S: Simulator> HybridEngine<S> {
             }
             // A failing attempt drops the spans unrecorded (accounting
             // records nothing either) and bumps the error counter instead.
-            let trace_sp = le_obs::trace_span!("hybrid.simulate");
+            // Both spans close on return, so a retrain the learn stage
+            // triggers appears as a sibling phase of the query, not a
+            // child of the sim.
+            let _t = le_obs::trace_span!("hybrid.simulate");
             let sp = le_obs::timed_span!("hybrid.simulate");
             self.seed_counter += 1;
             let seed = self.seed_counter;
@@ -683,21 +693,7 @@ impl<S: Simulator> HybridEngine<S> {
             };
             match result {
                 Ok(output) if output.iter().all(|v| v.is_finite()) => {
-                    self.accounting.record_training_sim(sp.finish_secs());
-                    // Close the simulate trace span here so a retrain
-                    // triggered below appears as a sibling phase of the
-                    // query, not a child of the sim.
-                    drop(trace_sp);
-                    le_obs::counter!("hybrid.simulations").inc();
-                    self.buffer.push_back((input.to_vec(), output.clone()));
-                    self.runs_seen += 1;
-                    self.enforce_rolling_cap();
-                    self.maybe_retrain();
-                    return Ok(QueryResult {
-                        output,
-                        source: QuerySource::Simulated,
-                        gate_std,
-                    });
+                    return Ok((output, sp.finish_secs()));
                 }
                 Ok(_) => {
                     // A diverged run reporting success: never buffered,
@@ -724,9 +720,7 @@ impl<S: Simulator> HybridEngine<S> {
     /// design-of-experiments campaign) and train immediately.
     pub fn seed_training(&mut self, x: &[Vec<f64>], y: &[Vec<f64>]) -> Result<()> {
         if x.len() != y.len() {
-            return Err(LeError::InvalidConfig(
-                "seed inputs/outputs length mismatch".into(),
-            ));
+            return invalid("seed inputs/outputs length mismatch");
         }
         self.buffer.extend(x.iter().cloned().zip(y.iter().cloned()));
         self.runs_seen += x.len() as u64;
@@ -747,22 +741,19 @@ impl<S: Simulator> HybridEngine<S> {
     /// next growth threshold retries. A Degraded engine stops retraining
     /// entirely.
     fn maybe_retrain(&mut self) {
-        if !self.supervisor.wants_retrain() {
-            return;
-        }
         let due = if self.surrogate.is_none() {
             self.runs_seen >= self.config.min_training_runs as u64
         } else {
             self.runs_seen as f64 >= self.runs_at_last_fit as f64 * self.config.retrain_growth
         };
-        if !due {
+        if !due || !self.supervisor.wants_retrain() {
             return;
         }
         // The only place that knows the two timings. Rolling mode never
         // retrains mid-wave: the in-flight wave keeps answering from the
         // frozen snapshot and the swap happens at the wave boundary
         // (`service_pending_retrain`). Inline mode fits now, so a later
-        // row of the same batch sees the new surrogate exactly as a later
+        // row of the same wave sees the new surrogate exactly as a later
         // sequential query would.
         if self.rolling.is_some() {
             if !self.retrain_pending {
@@ -774,11 +765,6 @@ impl<S: Simulator> HybridEngine<S> {
             // Push the next attempt out by the growth factor.
             self.runs_at_last_fit = self.runs_seen;
         }
-    }
-
-    /// Number of retraining attempts that failed (diagnostics).
-    pub fn failed_retrains(&self) -> u64 {
-        self.failed_retrains
     }
 
     /// Force a (re)training of the surrogate on the current buffer.
@@ -813,10 +799,10 @@ impl<S: Simulator> HybridEngine<S> {
         max_error: f64,
     ) -> Result<Option<(f64, f64)>> {
         if val_x.is_empty() || val_x.len() != val_y.len() {
-            return Err(LeError::InvalidConfig("bad validation set".into()));
+            return invalid("bad validation set");
         }
         if max_error <= 0.0 {
-            return Err(LeError::InvalidConfig("max_error must be positive".into()));
+            return invalid("max_error must be positive");
         }
         let surrogate = self
             .surrogate
@@ -824,7 +810,8 @@ impl<S: Simulator> HybridEngine<S> {
             .ok_or_else(|| LeError::InsufficientData("no trained surrogate".into()))?;
         // Score every validation point with one fused MC-dropout
         // evaluation: (gate std, actual max error).
-        let preds = surrogate.predict_with_uncertainty_batch(val_x)?;
+        let rows: Vec<&[f64]> = val_x.iter().map(Vec::as_slice).collect();
+        let preds = surrogate.predict_with_uncertainty_rows(&rows)?;
         let mut scored: Vec<(f64, f64)> = Vec::with_capacity(val_x.len());
         for (pred, y) in preds.iter().zip(val_y.iter()) {
             let err = pred
@@ -836,24 +823,19 @@ impl<S: Simulator> HybridEngine<S> {
             scored.push((pred.max_std(), err));
         }
         // Sort by gate std ascending; the candidate thresholds are just
-        // above each point's std. Walk upward while all admitted points
-        // stay within the error budget.
+        // above each point's std. Admit the longest prefix that stays
+        // within the error budget: τ slightly above its last point's std.
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut best: Option<(f64, usize)> = None;
-        for (i, &(std, _)) in scored.iter().enumerate() {
-            // Admitting points 0..=i ⇔ τ slightly above scored[i].std.
-            if scored[..=i].iter().any(|&(_, err)| err > max_error) {
-                break;
-            }
-            best = Some((std * 1.0000001 + f64::MIN_POSITIVE, i + 1));
+        let admitted = scored
+            .iter()
+            .position(|&(_, err)| err > max_error)
+            .unwrap_or(scored.len());
+        if admitted == 0 {
+            return Ok(None);
         }
-        match best {
-            Some((tau, admitted)) => {
-                self.config.uncertainty_threshold = tau;
-                Ok(Some((tau, admitted as f64 / scored.len() as f64)))
-            }
-            None => Ok(None),
-        }
+        let tau = scored[admitted - 1].0 * 1.0000001 + f64::MIN_POSITIVE;
+        self.config.uncertainty_threshold = tau;
+        Ok(Some((tau, admitted as f64 / scored.len() as f64)))
     }
 }
 
@@ -1034,6 +1016,76 @@ mod tests {
     }
 
     #[test]
+    fn gate_routes_every_reason() {
+        // Row 0 of a fresh one-row wave, by route.
+        fn route(engine: &mut HybridEngine<SyntheticSimulator>, x: &[f64]) -> &'static str {
+            let mut wave = None;
+            match engine.gate(&[x], 0, &mut wave) {
+                Route::Lookup(..) => "lookup",
+                Route::Simulate(Why::Untrusted, None) => "untrusted",
+                Route::Simulate(Why::ModelError, None) => "model_error",
+                Route::Simulate(Why::NonFinite, None) => "nonfinite",
+                Route::Simulate(Why::Uncertain, Some(_)) => "uncertain",
+                Route::Simulate(Why::Audit, Some(_)) => "audit",
+                Route::Simulate(..) => "prediction kept or dropped wrongly",
+            }
+        }
+        let mut engine = engine(1e9_f64, 51); // huge τ: every finite row admits
+        let x = [0.2, -0.3];
+        assert_eq!(route(&mut engine, &x), "untrusted", "cold engine");
+        let mut rng = Rng::new(52);
+        let xs: Vec<Vec<f64>> = (0..60)
+            .map(|_| vec![rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)])
+            .collect();
+        let ys: Vec<Vec<f64>> = xs.iter().map(|x| engine.simulator().truth(x)).collect();
+        engine.seed_training(&xs, &ys).unwrap();
+        assert_eq!(route(&mut engine, &x), "lookup");
+        assert_eq!(route(&mut engine, &[f64::NAN, 0.0]), "nonfinite");
+        engine.set_uncertainty_threshold(1e-12).unwrap();
+        assert_eq!(route(&mut engine, &x), "uncertain");
+        engine.set_uncertainty_threshold(1e9).unwrap();
+        engine
+            .enable_rolling_retrain(RollingRetrainConfig {
+                audit_every: 2,
+                ..Default::default()
+            })
+            .unwrap();
+        // Every consult advanced the serial query index: 4 is a multiple
+        // of 2, 5 is not.
+        assert_eq!(engine.queries_seen, 4);
+        assert_eq!(route(&mut engine, &x), "audit");
+        assert_eq!(route(&mut engine, &x), "lookup");
+        // Uncertainty outranks the audit cadence (index 6).
+        engine.set_uncertainty_threshold(1e-12).unwrap();
+        assert_eq!(route(&mut engine, &x), "uncertain");
+        // Three non-finite rows answered through the engine quarantine the
+        // surrogate: it is no longer consulted.
+        for _ in 0..3 {
+            assert!(engine.query(&[f64::NAN, 0.0]).is_err());
+        }
+        assert!(!engine.supervisor().trusts_surrogate());
+        assert_eq!(route(&mut engine, &x), "untrusted", "benched surrogate");
+        engine.retrain().unwrap();
+        assert!(engine.supervisor().trusts_surrogate());
+        // A surrogate that cannot evaluate these rows (fitted on three
+        // inputs) fails the fused evaluation.
+        let mut x3 = Matrix::zeros(8, 3);
+        let mut y3 = Matrix::zeros(8, 1);
+        for r in 0..8 {
+            x3.row_mut(r).copy_from_slice(&[r as f64, 1.0, -(r as f64)]);
+            y3.row_mut(r)[0] = r as f64;
+        }
+        let cfg = SurrogateConfig {
+            epochs: 2,
+            mc_samples: 2,
+            ..Default::default()
+        };
+        engine.surrogate = Some(NnSurrogate::fit(&x3, &y3, &cfg).unwrap());
+        engine.surrogate_generation += 1;
+        assert_eq!(route(&mut engine, &x), "model_error");
+    }
+
+    #[test]
     fn accounting_tracks_phases() {
         // Use an expensive simulator so simulation time dominates lookup
         // time even in unoptimized builds — the regime the paper targets.
@@ -1192,7 +1244,13 @@ mod tests {
         let batch: Vec<Vec<f64>> = (0..20)
             .map(|_| vec![rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)])
             .collect();
-        let results = engine.query_batch(&batch).unwrap();
+        let rows: Vec<&[f64]> = batch.iter().map(Vec::as_slice).collect();
+        let results: Vec<QueryResult> = engine
+            .query_each(&rows)
+            .unwrap()
+            .into_iter()
+            .collect::<Result<_>>()
+            .unwrap();
         // Every row of the wave was simulated: the retrain due at row 8
         // was deferred, not executed mid-wave.
         assert!(results.iter().all(|r| r.source == QuerySource::Simulated));
@@ -1200,7 +1258,7 @@ mod tests {
         assert!(engine.has_surrogate());
         assert_eq!(engine.rolling_swaps(), 1);
         assert!(engine.rolling_deferrals() >= 1);
-        assert!(!engine.retrain_pending());
+        assert!(!engine.retrain_pending);
         // The next wave is served by the swapped-in surrogate.
         let r = engine.query(&[0.1, 0.2]).unwrap();
         assert!(r.gate_std.is_some());
@@ -1239,7 +1297,8 @@ mod tests {
             let batch: Vec<Vec<f64>> = (0..10)
                 .map(|_| vec![rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)])
                 .collect();
-            engine.query_batch(&batch).unwrap();
+            let rows: Vec<&[f64]> = batch.iter().map(Vec::as_slice).collect();
+            assert!(engine.query_each(&rows).unwrap().iter().all(Result::is_ok));
         }
         assert_eq!(engine.runs_seen(), 80);
         assert!(engine.buffered_runs() <= 16, "{}", engine.buffered_runs());
@@ -1297,7 +1356,7 @@ mod tests {
         // The flag requested a boundary retrain; with a well-stocked
         // buffer it executed at the end of the same (single-row) wave,
         // clearing both the pending latch and the typed evidence.
-        assert!(!engine.retrain_pending());
+        assert!(!engine.retrain_pending);
         assert!(engine.rolling_swaps() >= 1);
         assert!(engine.supervisor().last_staleness().is_none());
     }
@@ -1349,12 +1408,16 @@ mod tests {
         for _ in 0..40 {
             let x = [rng.uniform_in(2.0, 3.0), rng.uniform_in(-3.0, -2.0)];
             engine.query(&x).unwrap();
-            if engine.failed_retrains() > 0 {
+            if engine.supervisor().retrain_failures() > 0 {
                 break;
             }
         }
         assert!(engine.supervisor().stale_flags() >= 1, "drift must flag");
-        assert_eq!(engine.failed_retrains(), 1, "the boundary retrain failed");
+        assert_eq!(
+            engine.supervisor().retrain_failures(),
+            1,
+            "the boundary retrain failed"
+        );
         assert_eq!(engine.rolling_swaps(), 0);
         assert_eq!(engine.n_simulations(), 0, "the gate served every row");
         assert_eq!(engine.runs_at_last_fit, engine.runs_seen());

@@ -85,6 +85,7 @@ pub struct Supervisor {
     consecutive_gate_anomalies: usize,
     consecutive_failed_retrains: usize,
     retries: u64,
+    retrain_failures: u64,
     quarantines: u64,
     readmissions: u64,
     stale_flags: u64,
@@ -111,6 +112,7 @@ impl Supervisor {
             consecutive_gate_anomalies: 0,
             consecutive_failed_retrains: 0,
             retries: 0,
+            retrain_failures: 0,
             quarantines: 0,
             readmissions: 0,
             stale_flags: 0,
@@ -147,6 +149,11 @@ impl Supervisor {
     /// Total simulator retries performed (attempts beyond each first).
     pub fn retries(&self) -> u64 {
         self.retries
+    }
+
+    /// Retrain attempts that failed, in any state.
+    pub fn retrain_failures(&self) -> u64 {
+        self.retrain_failures
     }
 
     /// Times the surrogate entered quarantine.
@@ -217,6 +224,7 @@ impl Supervisor {
             .counter(&format!("supervisor.retrain_failed.{}", err.kind_label()))
             .inc();
         self.last_retrain_error = Some(err);
+        self.retrain_failures += 1;
         self.consecutive_failed_retrains += 1;
         if self.state == SupervisorState::Normal {
             // The stale surrogate must not stay silently trusted.
@@ -313,6 +321,7 @@ mod tests {
         assert_eq!(s.state(), SupervisorState::Quarantined);
         s.note_retrain_failure(LeError::Model("b".into()));
         assert_eq!(s.state(), SupervisorState::Degraded);
+        assert_eq!(s.retrain_failures(), 2);
         assert!(!s.wants_retrain());
         assert!(!s.trusts_surrogate());
         // Terminal: nothing re-admits.

@@ -292,13 +292,6 @@ impl NnSurrogate {
     /// bit-identical to B sequential [`NnSurrogate::predict_with_uncertainty`]
     /// calls; the ordinal counter commits only after a successful
     /// evaluation (a failed or panicked evaluation consumes nothing).
-    pub fn predict_with_uncertainty_batch(&mut self, inputs: &[Vec<f64>]) -> Result<Vec<Prediction>> {
-        let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
-        self.predict_with_uncertainty_rows(&refs)
-    }
-
-    /// Shared fused-UQ path over borrowed rows (see
-    /// [`NnSurrogate::predict_with_uncertainty_batch`]).
     pub fn predict_with_uncertainty_rows(&mut self, inputs: &[&[f64]]) -> Result<Vec<Prediction>> {
         self.stage_scaled_inputs(inputs)?;
         let rows = inputs.len();

@@ -49,7 +49,8 @@
 //!
 //! Any finding except L6/L7 can be suppressed for one line with a trailing
 //! `// lint:allow(<rule>)` comment (a justification after a `:` is
-//! encouraged: `// lint:allow(no-panic): length checked above`).
+//! encouraged: `// lint:allow(no-panic): length checked above`). The report
+//! counts these escapes per rule, so a gate can pin their total.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -182,25 +183,6 @@ pub const WALLCLOCK_AUTHORITY_CRATE: &str = "le-obs";
 /// back into `le-obs` spans and `BENCH_*.json`).
 pub const WALLCLOCK_EXEMPT_FILES: [(&str, &str); 1] = [("le-bench", "timing.rs")];
 
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Relativize `path` against `root` for display (falls back to `path`).
 pub fn rel_to(path: &Path, root: &Path) -> PathBuf {
     path.strip_prefix(root).unwrap_or(path).to_path_buf()
@@ -240,12 +222,6 @@ mod tests {
             v.to_string(),
             "crates/nn/src/layer.rs:42:no-panic: `.unwrap()` in library code"
         );
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -91,8 +91,9 @@ pub fn check_trace_hygiene(lines: &[Line]) -> Vec<(usize, String)> {
 /// unwrap. A line is flagged when one of these co-occurs with a panicking
 /// call — the typed error exists so the caller can degrade (retry,
 /// quarantine, serve simulator-only), not panic the campaign.
-const LE_ERROR_MARKERS: [&str; 5] = [
+const LE_ERROR_MARKERS: [&str; 6] = [
     ".query(",
+    ".query_each(",
     ".seed_training(",
     ".retrain(",
     ".calibrate_gate(",
@@ -446,6 +447,7 @@ mod tests {
         for snippet in [
             "let r = engine.query(&x).unwrap();",
             "let r = engine.query(&x).expect(\"query succeeds\");",
+            "let rows = engine.query_each(&wave).unwrap();",
             "engine.seed_training(&xs, &ys).unwrap();",
             "engine.retrain().expect(\"fits\");",
             "let t = engine.calibrate_gate(&vx, &vy, 0.1).unwrap();",

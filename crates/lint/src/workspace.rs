@@ -1,16 +1,17 @@
 //! The workspace walker and report: ties manifests + sources to rules.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use le_obs::json::escape;
 
 use crate::manifest;
 use crate::rules;
 use crate::scanner;
 use crate::{
-    json_escape, rel_to, Rule, Violation, SIM_KERNEL_CRATES, WALLCLOCK_AUTHORITY_CRATE,
-    WALLCLOCK_EXEMPT_FILES,
+    rel_to, Rule, Violation, SIM_KERNEL_CRATES, WALLCLOCK_AUTHORITY_CRATE, WALLCLOCK_EXEMPT_FILES,
 };
 
 /// The outcome of a full workspace check.
@@ -22,6 +23,8 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of `Cargo.toml` manifests scanned.
     pub manifests_scanned: usize,
+    /// `lint:allow` escape tags in the scanned sources, by rule name.
+    pub allows: BTreeMap<String, usize>,
 }
 
 impl Report {
@@ -30,13 +33,34 @@ impl Report {
         self.violations.is_empty()
     }
 
-    /// Human-readable `file:line:rule: message` lines plus a summary.
+    /// Total `lint:allow` escape tags over all rules.
+    pub fn allows_total(&self) -> usize {
+        self.allows.values().sum()
+    }
+
+    /// `<q>rule<q><sep>count` per rule with escapes, comma-separated (rule
+    /// names need no escaping).
+    fn allow_counts(&self, q: &str, sep: &str) -> String {
+        let mut items = Vec::new();
+        for (rule, n) in &self.allows {
+            items.push(format!("{q}{rule}{q}{sep}{n}"));
+        }
+        items.join(", ")
+    }
+
+    /// Human-readable `file:line:rule: message` lines plus a summary and
+    /// the escape count per rule.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for v in &self.violations {
             out.push_str(&v.to_string());
             out.push('\n');
         }
+        out.push_str(&format!(
+            "le-lint: {} lint:allow escape(s): {}\n",
+            self.allows_total(),
+            self.allow_counts("", " ")
+        ));
         out.push_str(&format!(
             "le-lint: {} violation(s) in {} source file(s), {} manifest(s)\n",
             self.violations.len(),
@@ -55,19 +79,22 @@ impl Report {
             }
             out.push_str(&format!(
                 "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(&v.file.display().to_string()),
+                escape(&v.file.display().to_string()),
                 v.line,
                 v.rule,
-                json_escape(&v.message)
+                escape(&v.message)
             ));
         }
         if !self.violations.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str(&format!(
-            "],\n  \"files_scanned\": {},\n  \"manifests_scanned\": {},\n  \"clean\": {}\n}}\n",
+            "],\n  \"files_scanned\": {},\n  \"manifests_scanned\": {},\n  \
+             \"allows\": {{{}}},\n  \"allows_total\": {},\n  \"clean\": {}\n}}\n",
             self.files_scanned,
             self.manifests_scanned,
+            self.allow_counts("\"", ": "),
+            self.allows_total(),
             self.is_clean()
         ));
         out
@@ -115,6 +142,12 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
             let src = fs::read_to_string(&source)?;
             report.files_scanned += 1;
             let lines = scanner::scan(&src);
+            // Only tags naming a rule (or `all`) escape anything; docs
+            // that spell out the tag syntax do not count.
+            let tags = lines.iter().flat_map(|l| &l.allows);
+            for tag in tags.filter(|t| *t == "all" || Rule::ALL.iter().any(|r| r.name() == *t)) {
+                *report.allows.entry(tag.clone()).or_default() += 1;
+            }
             let file = rel_to(&source, root);
             let exempt = is_bin_source(&member.src, &source);
 
@@ -328,11 +361,20 @@ mod tests {
     #[test]
     fn text_report_has_summary_line() {
         let report = Report {
-            violations: vec![],
             files_scanned: 5,
             manifests_scanned: 2,
+            allows: [
+                ("no-panic".to_string(), 3),
+                ("float-hygiene".to_string(), 1),
+            ]
+            .into(),
+            ..Default::default()
         };
         let text = report.to_text();
         assert!(text.contains("0 violation(s) in 5 source file(s), 2 manifest(s)"));
+        assert!(text.contains("4 lint:allow escape(s): float-hygiene 1, no-panic 3"));
+        let json = report.to_json();
+        assert!(json.contains("\"allows\": {\"float-hygiene\": 1, \"no-panic\": 3}"));
+        assert!(json.contains("\"allows_total\": 4"));
     }
 }

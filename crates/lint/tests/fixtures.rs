@@ -127,11 +127,12 @@ fn lint_headers_fixture_flags_missing_headers() {
 fn le_error_unwrap_fixture_flags_lib_and_bin() {
     let report = check_workspace(&fixture("le_error_unwrap")).expect("scan");
     let rules: Vec<Rule> = report.violations.iter().map(|v| v.rule).collect();
-    // One hit in lib.rs, one in the binary — unlike L2, drivers are not
-    // exempt. The allowed line and the `#[cfg(test)]` unwrap stay silent.
+    // One hit in lib.rs, two in the binary (`query` and `query_each`) —
+    // unlike L2, drivers are not exempt. The allowed line and the
+    // `#[cfg(test)]` unwrap stay silent.
     assert_eq!(
         rules,
-        [Rule::LeErrorUnwrap, Rule::LeErrorUnwrap],
+        [Rule::LeErrorUnwrap; 3],
         "{}",
         report.to_text()
     );

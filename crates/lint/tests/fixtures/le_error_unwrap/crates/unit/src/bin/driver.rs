@@ -4,4 +4,7 @@ fn main() {
     let mut engine = Engine::default();
     let r = engine.query(&[0.0]).expect("query succeeds");
     println!("{}", r.output[0]);
+    // The wave entry point is flagged alike.
+    let rows = engine.query_each(&[&[0.0]]).unwrap();
+    println!("{}", rows.len());
 }

@@ -1,12 +1,34 @@
-//! A minimal JSON reader for the workspace's own artifacts.
+//! A minimal JSON reader for the workspace's own artifacts, and the one
+//! string escape their writers share.
 //!
 //! The harness writes `BENCH_*.json`, `le-obs` writes `OBS_*.json` and
-//! `TRACE_*.json`; this module parses them back so tests and the `obsctl`
-//! regression gate can round-trip the documents without an external JSON
-//! dependency. It accepts standard JSON (objects, arrays, strings with the
-//! common escapes, numbers, booleans, null) — enough for any document this
-//! workspace produces. It lives in `le-obs` (the lowest layer) so both the
-//! bench harness and `obsctl` can share it.
+//! `TRACE_*.json`, all through [`escape`]; this module parses them back so
+//! tests and the `obsctl` regression gate can round-trip the documents
+//! without an external JSON dependency. It accepts standard JSON (objects,
+//! arrays, strings with the common escapes, numbers, booleans, null) —
+//! enough for any document this workspace produces. It lives in `le-obs`
+//! (the lowest layer) so both the bench harness and `obsctl` can share it.
+
+/// Escape a string for a JSON string literal: quotes, backslashes and
+/// every control character (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,6 +254,12 @@ mod tests {
         assert_eq!(parse("false"), Some(Value::Bool(false)));
         assert_eq!(parse("-1.5e3"), Some(Value::Num(-1500.0)));
         assert_eq!(parse("\"hi\""), Some(Value::Str("hi".into())));
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::json::escape;
 use crate::registry::Registry;
 
 /// A counter's name and merged total at snapshot time.
@@ -229,25 +230,6 @@ impl Snapshot {
         }
         out
     }
-}
-
-/// Escape a string for a JSON string literal (snapshot and trace exports).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render an `f64` as a JSON number; non-finite values (not representable

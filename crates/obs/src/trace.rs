@@ -50,8 +50,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::escape;
 use crate::registry::relock;
-use crate::snapshot::escape;
 
 /// Default per-thread journal capacity (events), overridable with the
 /// `LE_TRACE_CAP` environment variable (read once, at journal creation).

@@ -221,7 +221,7 @@ fn nan_outputs_are_rejected_at_the_query_layer() {
     }
     assert!(rejected > 0 && served > 0, "both paths hit: {served} ok, {rejected} rejected");
     // The guard kept the buffer clean, so retraining never saw NaN.
-    assert_eq!(engine.failed_retrains(), 0, "poison never reaches the trainer");
+    assert_eq!(engine.supervisor().retrain_failures(), 0, "poison never reaches the trainer");
     assert_eq!(engine.buffered_runs() as u64, engine.n_simulations());
     assert!(engine.has_surrogate(), "clean runs still train a surrogate");
 }
@@ -328,7 +328,7 @@ fn degraded_mode_serves_every_query_and_keeps_accounting_exact() {
     // Second consecutive failure: terminal.
     assert!(engine.retrain().is_err());
     assert_eq!(engine.supervisor().state(), SupervisorState::Degraded);
-    assert_eq!(engine.failed_retrains(), 2);
+    assert_eq!(engine.supervisor().retrain_failures(), 2);
     assert!(!engine.supervisor().wants_retrain());
 
     // The Degraded campaign still serves everything, simulator-only.
@@ -346,7 +346,7 @@ fn degraded_mode_serves_every_query_and_keeps_accounting_exact() {
     // simulation or lookup; Degraded mode never trains again.
     assert_eq!(engine.accounting().n_train(), n);
     assert_eq!(engine.accounting().n_lookup(), 0);
-    assert_eq!(engine.failed_retrains(), 2, "no further retrain attempts");
+    assert_eq!(engine.supervisor().retrain_failures(), 2, "no further retrain attempts");
 }
 
 #[test]
@@ -553,8 +553,8 @@ fn serving_path_walks_the_degradation_ladder_like_the_direct_path() {
     // The ladder fired — and fired identically.
     assert_eq!(served.supervisor().state(), SupervisorState::Degraded);
     assert_eq!(served.supervisor().state(), direct.supervisor().state());
-    assert_eq!(served.failed_retrains(), direct.failed_retrains());
-    assert!(served.failed_retrains() >= 2, "both retrain attempts failed");
+    assert_eq!(served.supervisor().retrain_failures(), direct.supervisor().retrain_failures());
+    assert!(served.supervisor().retrain_failures() >= 2, "both retrain attempts failed");
     assert_eq!(
         served.supervisor().quarantines(),
         direct.supervisor().quarantines()
