@@ -232,13 +232,13 @@ impl<S: Simulator> HybridEngine<S> {
         config: HybridConfig,
         supervision: SupervisorConfig,
     ) -> Result<Self> {
-        if config.uncertainty_threshold <= 0.0 {
+        if !(config.uncertainty_threshold > 0.0) {
             return invalid("uncertainty threshold must be positive");
         }
         if config.min_training_runs < 4 {
             return invalid("need at least 4 runs before training");
         }
-        if config.retrain_growth <= 1.0 {
+        if !(config.retrain_growth > 1.0) {
             return invalid("retrain growth factor must exceed 1");
         }
         Ok(Self {
@@ -351,7 +351,7 @@ impl<S: Simulator> HybridEngine<S> {
     /// Adjust the UQ gate at runtime (e.g. tightening as the campaign's
     /// accuracy requirements grow).
     pub fn set_uncertainty_threshold(&mut self, tau: f64) -> Result<()> {
-        if tau <= 0.0 {
+        if !(tau > 0.0) {
             return invalid("uncertainty threshold must be positive");
         }
         self.config.uncertainty_threshold = tau;
@@ -636,7 +636,6 @@ impl<S: Simulator> HybridEngine<S> {
                 Ok(())
             }
             Err(e) => {
-                le_obs::counter!("hybrid.retrain_errors").inc();
                 self.supervisor.note_retrain_failure(e.clone());
                 Err(e)
             }
@@ -801,7 +800,7 @@ impl<S: Simulator> HybridEngine<S> {
         if val_x.is_empty() || val_x.len() != val_y.len() {
             return invalid("bad validation set");
         }
-        if max_error <= 0.0 {
+        if !(max_error > 0.0) {
             return invalid("max_error must be positive");
         }
         let surrogate = self
@@ -868,30 +867,34 @@ mod tests {
     #[test]
     fn config_validation() {
         let sim = SyntheticSimulator::new(2, 1, 0, 0.0);
-        assert!(HybridEngine::new(
-            sim.clone(),
-            HybridConfig {
-                uncertainty_threshold: 0.0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(HybridEngine::new(
-            sim.clone(),
-            HybridConfig {
-                min_training_runs: 2,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(HybridEngine::new(
-            sim,
-            HybridConfig {
-                retrain_growth: 0.9,
-                ..Default::default()
-            }
-        )
-        .is_err());
+        // Each bound is written so NaN fails it as well as the out-of-range
+        // value: a NaN τ would never serve a lookup, and a NaN growth
+        // factor would silently stop every retrain after the first fit.
+        for config in [
+            HybridConfig { uncertainty_threshold: 0.0, ..Default::default() },
+            HybridConfig { uncertainty_threshold: f64::NAN, ..Default::default() },
+            HybridConfig { min_training_runs: 2, ..Default::default() },
+            HybridConfig { retrain_growth: 0.9, ..Default::default() },
+            HybridConfig { retrain_growth: f64::NAN, ..Default::default() },
+        ] {
+            assert!(matches!(
+                HybridEngine::new(sim.clone(), config),
+                Err(LeError::InvalidConfig(_))
+            ));
+        }
+        let mut engine = HybridEngine::new(sim, HybridConfig::default()).unwrap();
+        for tau in [0.0, f64::NAN] {
+            assert!(matches!(
+                engine.set_uncertainty_threshold(tau),
+                Err(LeError::InvalidConfig(_))
+            ));
+        }
+        for max_error in [0.0, f64::NAN] {
+            assert!(matches!(
+                engine.calibrate_gate(&[vec![0.0, 0.0]], &[vec![0.0]], max_error),
+                Err(LeError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

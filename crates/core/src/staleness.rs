@@ -74,7 +74,7 @@ impl StalenessConfig {
                 "staleness window and baseline must be at least 1".into(),
             ));
         }
-        if self.std_ratio <= 1.0 {
+        if !(self.std_ratio > 1.0) {
             return Err(LeError::InvalidConfig(
                 "staleness std_ratio must exceed 1".into(),
             ));
@@ -299,6 +299,10 @@ mod tests {
         assert!(StalenessConfig { window: 0, ..small() }.validate().is_err());
         assert!(StalenessConfig { baseline: 0, ..small() }.validate().is_err());
         assert!(StalenessConfig { std_ratio: 1.0, ..small() }.validate().is_err());
+        assert!(matches!(
+            StalenessConfig { std_ratio: f64::NAN, ..small() }.validate(),
+            Err(LeError::InvalidConfig(_))
+        ));
         assert!(StalenessConfig { nominal_coverage: 1.0, ..small() }.validate().is_err());
         assert!(StalenessConfig { min_coverage: 1.5, ..small() }.validate().is_err());
         assert!(StalenessConfig { min_labelled: 0, ..small() }.validate().is_err());

@@ -1,20 +1,20 @@
 //! Row-major dense `f64` matrix with the operations the neural-network and
 //! solver crates need. Sized for the small/medium matrices of this workspace
-//! (layer weights up to a few thousand per side). Small products use a
-//! cache-friendly ikj loop; past [`GEMM_BT_MIN_FLOPS`] the three matmul
-//! variants route through [`Matrix::gemm_bt`], a blocked transposed-RHS
-//! kernel whose outer row loop runs on the `le_pool` worker pool, with
-//! bit-identical results between the sequential and parallel paths.
+//! (layer weights up to a few thousand per side). The three matmul variants
+//! share one private product routine: an ikj loop below
+//! [`GEMM_TILE_MIN_FLOPS`], a register-tiled kernel past it whose row loop
+//! runs on the `le_pool` worker pool past [`GEMM_PAR_MIN_FLOPS`], with
+//! bit-identical results on every path and at every pool width.
 
 use crate::rng::Rng;
 use crate::{LinalgError, Result};
 
-/// FLOP count (`m·n·k`) below which the legacy ikj loop is kept: the
-/// transposed-RHS kernel's transpose copy and dispatch only pay off past
-/// this size.
-const GEMM_BT_MIN_FLOPS: usize = 1 << 15;
-/// FLOP count past which the blocked kernel's row loop is dispatched on
-/// the worker pool.
+/// FLOP count (`m·n·k`) from which products run the register-tiled
+/// kernel instead of the ikj loop: below it the ikj loop's exact-zero skip
+/// and lack of tile setup win, which unoptimized builds feel most.
+const GEMM_TILE_MIN_FLOPS: usize = 1 << 15;
+/// FLOP count past which the tiled kernel's row loop is dispatched on the
+/// worker pool.
 const GEMM_PAR_MIN_FLOPS: usize = 1 << 17;
 /// Target FLOPs per parallel chunk of output rows (grain for the pool's
 /// claiming cursor).
@@ -158,27 +158,8 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `self * btᵀ` where `bt` is the **already transposed** right-hand
-    /// side (`bt.rows` is the output column count): the blocked kernel
-    /// behind the three matmul variants. Both operands stream row-major,
-    /// and four output columns share each pass over `a_row` through
-    /// independent register accumulators — better ILP than the
-    /// store-per-k ikj loop. Every output element is a straight k-order
-    /// dot product and every output row is computed independently, so the
-    /// result is bit-identical between the sequential path and the
-    /// pool-parallel path used past [`GEMM_PAR_MIN_FLOPS`].
-    fn gemm_bt(&self, bt: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, bt.rows);
-        gemm_bt_into(&self.data, self.rows, self.cols, bt, &mut out.data)
-            .expect("operands constructed with matching shapes"); // lint:allow(no-panic): callers pre-validate or construct matching shapes
-        out
-    }
-
-    /// Matrix product `self * rhs`. Small products use an ikj loop that
-    /// accumulates into the output row (cache-friendly for row-major
-    /// data); large ones run the register-tiled [`gemm_rm_into`] kernel
-    /// directly on `rhs`'s natural `(k, n)` layout — no transpose is
-    /// materialized on the hot path.
+    /// Matrix product `self * rhs`, computed by the one product routine on
+    /// `rhs`'s natural `(k, n)` layout.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -187,32 +168,10 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        if self.rows * rhs.cols * self.cols >= GEMM_BT_MIN_FLOPS {
-            let mut out = Matrix::zeros(self.rows, rhs.cols);
-            gemm_rm_into(&self.data, self.rows, self.cols, rhs, &mut out.data)?;
-            return Ok(out);
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &aik) in a_row.iter().enumerate() {
-                if aik == 0.0 { // lint:allow(float-hygiene): exact-zero sparsity skip, any other value must multiply
-                    continue;
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o = aik.mul_add(b, *o);
-                }
-            }
-        }
-        Ok(out)
+        product(&self.data, self.rows, self.cols, rhs)
     }
 
-    /// `self^T * rhs`. Small products use the k-outer accumulation loop
-    /// (no transpose materialized); large ones transpose `self` once and
-    /// run the register-tiled [`gemm_rm_into`] kernel against `rhs`'s
-    /// natural layout.
+    /// `self^T * rhs`: the product routine on a transposed copy of `self`.
     pub fn t_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.rows != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -221,33 +180,10 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        if self.cols * rhs.cols * self.rows >= GEMM_BT_MIN_FLOPS {
-            let at = self.transpose();
-            let mut out = Matrix::zeros(self.cols, rhs.cols);
-            gemm_rm_into(&at.data, self.cols, self.rows, rhs, &mut out.data)?;
-            return Ok(out);
-        }
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = &self.data[k * self.cols..(k + 1) * self.cols];
-            let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-            for (i, &aki) in a_row.iter().enumerate() {
-                if aki == 0.0 { // lint:allow(float-hygiene): exact-zero sparsity skip, any other value must multiply
-                    continue;
-                }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o = aki.mul_add(b, *o);
-                }
-            }
-        }
-        Ok(out)
+        product(&self.transpose().data, self.cols, self.rows, rhs)
     }
 
-    /// `self * rhs^T` without materializing the transpose: `rhs` already
-    /// has the layout [`Matrix::gemm_bt`] wants, so the blocked kernel is
-    /// used at every size (the per-element k-order sum is identical to the
-    /// plain dot-product loop it replaces).
+    /// `self * rhs^T`: the product routine on a transposed copy of `rhs`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
@@ -256,7 +192,7 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        Ok(self.gemm_bt(rhs))
+        product(&self.data, self.rows, self.cols, &rhs.transpose())
     }
 
     /// Explicit transpose.
@@ -400,76 +336,37 @@ impl Matrix {
     }
 }
 
-/// The blocked transposed-RHS GEMM kernel on raw row-major storage:
-/// `out = a * btᵀ` where `a` is an `(m, k)` row-major slice, `bt` is the
-/// **already transposed** right-hand side (`bt.rows` is the output column
-/// count `n`), and `out` is the caller-owned `(m, n)` row-major output —
-/// no allocation happens here, which is what lets arena-backed batch
-/// engines reuse one flat buffer across calls. Four output columns share
-/// each pass over a row of `a` through independent register accumulators;
-/// every output element is an ascending-k chain of fused multiply-adds
-/// (the module-wide contraction — see [`dot`]) and every output row is
-/// computed independently, so the result is bit-identical between the
-/// sequential path and the pool-parallel path used past
-/// [`GEMM_PAR_MIN_FLOPS`] — and bit-identical to [`Matrix::matmul_t`] and
-/// [`gemm_rm_into`] on the same operands.
-pub fn gemm_bt_into(
-    a: &[f64],
-    m: usize,
-    k: usize,
-    bt: &Matrix,
-    out: &mut [f64],
-) -> Result<()> {
-    let n = bt.rows;
-    if a.len() != m * k || bt.cols != k || out.len() != m * n {
-        return Err(LinalgError::ShapeMismatch {
-            op: "gemm_bt_into",
-            lhs: (m, k),
-            rhs: bt.shape(),
-        });
+/// The one product routine behind [`Matrix::matmul`],
+/// [`Matrix::t_matmul`] and [`Matrix::matmul_t`]: `a * b` for an `(m, k)`
+/// row-major slice `a` and a natural-layout `(k, n)` matrix `b`. Below
+/// [`GEMM_TILE_MIN_FLOPS`] an ikj loop accumulates into each output row
+/// and skips exact-zero `a` elements (dropout zeroes activations); past
+/// it the register-tiled [`gemm_rm_into`] kernel runs. On
+/// both paths every output element is one ascending-k `mul_add` chain from
+/// 0.0 — the skip only leaves out `fma(0, b, s)` terms, which leave a
+/// chain started at 0.0 unchanged for every finite `b` — so the two paths
+/// agree to the bit with each other and with [`dot`].
+fn product(a: &[f64], m: usize, k: usize, b: &Matrix) -> Result<Matrix> {
+    let n = b.cols;
+    let mut out = Matrix::zeros(m, n);
+    if m * n * k >= GEMM_TILE_MIN_FLOPS {
+        gemm_rm_into(a, m, k, b, &mut out.data)?;
+        return Ok(out);
     }
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    let kernel = |row0: usize, rows_out: &mut [f64]| {
-        for (local, out_row) in rows_out.chunks_mut(n).enumerate() {
-            let r = row0 + local;
-            let a_row = &a[r * k..(r + 1) * k];
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &bt.data[j * k..(j + 1) * k];
-                let b1 = &bt.data[(j + 1) * k..(j + 2) * k];
-                let b2 = &bt.data[(j + 2) * k..(j + 3) * k];
-                let b3 = &bt.data[(j + 3) * k..(j + 4) * k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-                for (t, &av) in a_row.iter().enumerate() {
-                    s0 = av.mul_add(b0[t], s0);
-                    s1 = av.mul_add(b1[t], s1);
-                    s2 = av.mul_add(b2[t], s2);
-                    s3 = av.mul_add(b3[t], s3);
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                j += 4;
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        let out_row = &mut out.data[i * n..(i + 1) * n];
+        for (t, &ait) in a_row.iter().enumerate() {
+            if ait == 0.0 { // lint:allow(float-hygiene): exact-zero sparsity skip, any other value must multiply
+                continue;
             }
-            while j < n {
-                out_row[j] = dot(a_row, &bt.data[j * k..(j + 1) * k]);
-                j += 1;
+            let b_row = &b.data[t * n..(t + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
+                *o = ait.mul_add(bv, *o);
             }
         }
-    };
-    let flops = m * n * k.max(1);
-    if flops >= GEMM_PAR_MIN_FLOPS {
-        let rows_per_chunk = (GEMM_CHUNK_FLOPS / (n * k.max(1))).clamp(1, m);
-        le_pool::par_for_chunks(out, rows_per_chunk * n, |start, chunk| {
-            kernel(start / n, chunk)
-        });
-    } else {
-        kernel(0, out);
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Row-tile height of the natural-layout GEMM kernel: two independent
@@ -509,12 +406,12 @@ const GEMM_RM_NARROW: usize = 8;
 /// with one **fused multiply-add** per term (`f64::mul_add` — a single
 /// rounding, exactly specified by IEEE 754, so the same bits on every
 /// conforming host). All inner-product paths in this module use the same
-/// contraction, so the result is **bit-identical** to [`dot`], to
-/// [`gemm_bt_into`] on transposed operands, and between the sequential
-/// path and the pool-parallel path used past [`GEMM_PAR_MIN_FLOPS`] —
+/// contraction, so the result is **bit-identical** to [`dot`], to the ikj
+/// loop of [`product`], and between the sequential path and the
+/// pool-parallel path used past [`GEMM_PAR_MIN_FLOPS`] —
 /// vector width changes how many independent column sums advance
 /// together, never the order or rounding of any one sum.
-pub fn gemm_rm_into(
+fn gemm_rm_into(
     a: &[f64],
     m: usize,
     k: usize,
@@ -700,95 +597,54 @@ mod tests {
     }
 
     #[test]
-    fn t_matmul_equals_explicit_transpose_mul() {
-        let mut rng = Rng::new(5);
-        let a = Matrix::he_uniform(4, 3, 4, &mut rng);
-        let b = Matrix::he_uniform(4, 5, 4, &mut rng);
-        let fast = a.t_matmul(&b).unwrap();
-        let slow = a.transpose().matmul(&b).unwrap();
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn matmul_t_equals_explicit_transpose_mul() {
-        let mut rng = Rng::new(6);
-        let a = Matrix::he_uniform(4, 3, 4, &mut rng);
-        let b = Matrix::he_uniform(5, 3, 4, &mut rng);
-        let fast = a.matmul_t(&b).unwrap();
-        let slow = a.matmul(&b.transpose()).unwrap();
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn large_matmul_crosses_into_blocked_kernel() {
-        // 40·50·60 = 120k FLOPs: above GEMM_BT_MIN_FLOPS, so this routes
-        // through gemm_bt (and the pool, above the parallel threshold).
-        let mut rng = Rng::new(11);
-        let a = Matrix::he_uniform(40, 60, 40, &mut rng);
-        let b = Matrix::he_uniform(60, 50, 60, &mut rng);
-        let fast = a.matmul(&b).unwrap();
-        let mut naive = Matrix::zeros(40, 50);
-        for i in 0..40 {
-            for j in 0..50 {
-                let mut acc = 0.0;
-                for t in 0..60 {
-                    acc += a.get(i, t) * b.get(t, j);
-                }
-                naive.set(i, j, acc);
-            }
-        }
-        for (x, y) in fast.as_slice().iter().zip(naive.as_slice()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn matmul_t_is_bitwise_dot_products() {
-        // The blocked kernel must not change the k-order per-element sum.
-        let mut rng = Rng::new(12);
-        let a = Matrix::he_uniform(30, 45, 30, &mut rng);
-        let b = Matrix::he_uniform(70, 45, 45, &mut rng);
-        let fast = a.matmul_t(&b).unwrap();
-        for i in 0..30 {
-            for j in 0..70 {
-                let expect = dot(a.row(i), b.row(j));
-                assert_eq!(fast.get(i, j).to_bits(), expect.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_rm_is_bitwise_identical_to_gemm_bt() {
-        // The register-tiled natural-layout kernel and the transposed-RHS
-        // kernel must agree to the bit on every shape class: single row,
-        // ragged row tail (m % MR), ragged column tail (n % NR), narrow
-        // outputs (n < NR), and sizes that cross the pool threshold.
+    fn all_three_products_are_bitwise_dot_chains() {
+        // `matmul`, `t_matmul` and `matmul_t` must each produce, for every
+        // output element, exactly the ascending-k fma chain `dot` computes,
+        // on both sides of GEMM_TILE_MIN_FLOPS and across the pool split.
+        // Every fifth `a` element is zeroed the way dropout zeroes an
+        // activation (`x * 0.0`, so negative ones become -0.0), which the
+        // ikj loop skips and `dot` multiplies.
         let mut rng = Rng::new(13);
         for &(m, k, n) in &[
-            (1usize, 64usize, 64usize),
+            (3usize, 4usize, 5usize), // tiny, all three below the cut
+            (4, 3, 5),
             (3, 17, 5),
-            (7, 64, 3),
-            (64, 64, 64),
-            (65, 33, 19),
+            (7, 64, 3),               // 3-wide head, below the cut
+            (1, 64, 64),              // single row
+            (20, 30, 40),
+            (40, 60, 50),             // above the cut, ragged column tail
+            (65, 33, 19),             // ragged row and column tails
+            (203, 64, 3),             // narrow tiled path, ragged 4-row tile
+            (121, 64, 5),
+            (64, 64, 64),             // pool-dispatched
+            (30, 45, 70),
             (256, 64, 48),
+            (300, 64, 7),             // narrow and pool-dispatched
         ] {
-            let a = Matrix::he_uniform(m, k, m.max(1), &mut rng);
-            let b = Matrix::he_uniform(k, n, k.max(1), &mut rng);
+            let mut a = Matrix::he_uniform(m, k, k, &mut rng);
+            for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+                if i % 5 == 2 {
+                    *v *= 0.0;
+                }
+            }
+            let b = Matrix::he_uniform(k, n, k, &mut rng);
             let bt = b.transpose();
-            let mut rm = vec![0.0; m * n];
-            let mut btk = vec![0.0; m * n];
-            gemm_rm_into(a.as_slice(), m, k, &b, &mut rm).unwrap();
-            gemm_bt_into(a.as_slice(), m, k, &bt, &mut btk).unwrap();
-            for (i, (x, y)) in rm.iter().zip(btk.iter()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "element {i} differs at shape ({m},{k},{n})"
-                );
+            let results = [
+                ("matmul", a.matmul(&b).unwrap()),
+                ("t_matmul", a.transpose().t_matmul(&b).unwrap()),
+                ("matmul_t", a.matmul_t(&bt).unwrap()),
+            ];
+            for (name, c) in &results {
+                assert_eq!(c.shape(), (m, n), "{name} shape at ({m},{k},{n})");
+                for i in 0..m {
+                    for j in 0..n {
+                        assert_eq!(
+                            c.get(i, j).to_bits(),
+                            dot(a.row(i), bt.row(j)).to_bits(),
+                            "{name} element ({i},{j}) differs at shape ({m},{k},{n})"
+                        );
+                    }
+                }
             }
         }
     }

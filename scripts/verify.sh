@@ -51,7 +51,7 @@ cargo test -q --offline --workspace
 # The lint rules must pass, and the `lint:allow` escapes le-lint counts
 # may fall but never rise: the total is pinned at a ceiling. Lower the pin
 # when a change removes escapes; raising it needs a written reason.
-lint_allow_ceiling=56
+lint_allow_ceiling=54
 echo "==> cargo run -p le-lint -- check (lint:allow escapes <= $lint_allow_ceiling)"
 lint_out="$(cargo run -q -p le-lint --offline -- check)" || {
   printf '%s\n' "$lint_out"
@@ -65,12 +65,14 @@ allows="$(printf '%s\n' "$lint_out" | sed -n 's/^le-lint: \([0-9]*\) lint:allow 
 }
 
 # Golden trajectories must reproduce bit-identically under a serial pool
-# and the machine-default worker count: the committed hashes in
+# and at fixed widths of 4 and 7 workers: the committed hashes in
 # tests/golden_trajectories.rs pin both the numerics and the pool's
-# deterministic chunking.
-echo "==> golden trajectories (LE_POOL_THREADS=1 and default)"
-LE_POOL_THREADS=1 cargo test -q --offline --test golden_trajectories
-cargo test -q --offline --test golden_trajectories
+# deterministic chunking (the training hash's 64-wide layers split their
+# products across the pool).
+echo "==> golden trajectories (LE_POOL_THREADS=1/4/7)"
+for threads in 1 4 7; do
+  LE_POOL_THREADS=$threads cargo test -q --offline --test golden_trajectories
+done
 
 # Bench smoke: one timed sample through the two pool-parallelized hot paths
 # (cell-list neighbor search, NN potential). --json exercises the

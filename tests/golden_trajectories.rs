@@ -1,10 +1,10 @@
 //! Golden-trajectory regression tests: bit-exact hashes of seeded kernel
 //! runs, committed as constants. Any change to the MD integrator, force
-//! loop, cell list, pool chunking, or the SEIR dynamics that perturbs a
-//! single bit of output fails here — including nondeterminism introduced
-//! by the worker pool, because `scripts/verify.sh` runs this suite at
-//! `LE_POOL_THREADS=1` *and* the machine default and both must reproduce
-//! the same committed hash.
+//! loop, cell list, pool chunking, the SEIR dynamics or the training-side
+//! matrix products that perturbs a single bit of output fails here —
+//! including nondeterminism introduced by the worker pool, because
+//! `scripts/verify.sh` runs this suite at `LE_POOL_THREADS=1`, 4 and 7
+//! and every width must reproduce the same committed hash.
 //!
 //! To re-baseline after an *intentional* numerical change, run with
 //! `--nocapture` and copy the printed hashes.
@@ -14,7 +14,8 @@ use le_mdsim::integrate::{run, Integrator};
 use le_mdsim::system::{SlabBox, Species, System};
 use le_netdyn::seir::{simulate, SeirConfig};
 use le_netdyn::{Population, PopulationConfig};
-use le_linalg::{Fnv, Rng};
+use le_linalg::{Fnv, Matrix, Rng};
+use le_nn::{Mlp, MlpConfig, Optimizer, TrainConfig, Trainer};
 
 /// FNV-1a over a sequence of f64 bit patterns: sensitive to every bit.
 fn fold_f64s<'a, I: IntoIterator<Item = &'a f64>>(h: &mut Fnv, vals: I) {
@@ -87,11 +88,61 @@ fn epidemic_curve_hash() -> u64 {
     h.finish()
 }
 
+/// Eight epochs of the paper's 5→64→64→3 dropout surrogate on a seeded
+/// 600-row set; hash of every epoch's train/validation loss, the final
+/// weights and biases, and a prediction over the whole set. The products
+/// land on both sides of the matmul size cut: in training (batches of
+/// 64) the input and 3-wide head layers stay below it and the 64×64
+/// hidden layer runs the tiled kernel split across the pool, in all three
+/// of `matmul`, `t_matmul` and `matmul_t`; the 180-row validation pass
+/// and the final prediction send the head through the narrow tiled path.
+/// Dropout zeros hidden activations, so the small path's exact-zero skip
+/// is exercised too.
+fn training_hash() -> u64 {
+    let mut rng = Rng::new(19);
+    let n = 600;
+    let mut x = Matrix::zeros(n, 5);
+    let mut y = Matrix::zeros(n, 3);
+    for i in 0..n {
+        let f: Vec<f64> = (0..5).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
+        x.row_mut(i).copy_from_slice(&f);
+        y.set(i, 0, (2.0 * f[0]).sin() * f[1]);
+        y.set(i, 1, f[2] * f[3] - 0.5 * f[4]);
+        y.set(i, 2, (f[0] + f[4]).tanh());
+    }
+    let mut model = Mlp::new(MlpConfig::regression_with_dropout(&[5, 64, 64, 3], 0.1), &mut rng)
+        .expect("valid net");
+    let report = Trainer::new(TrainConfig {
+        epochs: 8,
+        batch_size: 64,
+        optimizer: Optimizer::adam(3e-3),
+        validation_fraction: 0.3,
+        patience: Some(100),
+        seed: 23,
+        ..Default::default()
+    })
+    .fit(&mut model, &x, &y)
+    .expect("training runs");
+
+    let mut h = Fnv::new();
+    fold_f64s(&mut h, &report.train_loss);
+    fold_f64s(&mut h, &report.val_loss);
+    for layer in model.layers() {
+        fold_f64s(&mut h, layer.w.as_slice());
+        fold_f64s(&mut h, &layer.b);
+    }
+    fold_f64s(&mut h, model.predict(&x).expect("prediction").as_slice());
+    h.finish()
+}
+
 /// Committed baseline: 200-step nanoconfinement-style MD trajectory.
 const GOLDEN_MD_HASH: u64 = 0x0987_f3ad_7767_956c;
 
 /// Committed baseline: seeded SEIR epidemic curve.
 const GOLDEN_EPIDEMIC_HASH: u64 = 0x65d2_c945_05f1_c856;
+
+/// Committed baseline: seeded 5→64→64→3 dropout-net training run.
+const GOLDEN_TRAINING_HASH: u64 = 0xf4a3_1d07_f1e7_8484;
 
 #[test]
 fn md_trajectory_matches_golden_hash() {
@@ -123,4 +174,15 @@ fn epidemic_curve_matches_golden_hash() {
 #[test]
 fn epidemic_curve_hash_is_reproducible_in_process() {
     assert_eq!(epidemic_curve_hash(), epidemic_curve_hash());
+}
+
+#[test]
+fn training_matches_golden_hash() {
+    let h = training_hash();
+    println!("training hash: {h:#018x}");
+    assert_eq!(
+        h, GOLDEN_TRAINING_HASH,
+        "surrogate training diverged from the committed baseline (got {h:#018x}); \
+         if the numerical change is intentional, re-baseline GOLDEN_TRAINING_HASH"
+    );
 }
