@@ -2,8 +2,9 @@
 //!
 //! An [`Mlp`] is a stack of dense layers with a shared hidden activation, an
 //! output activation (identity for regression), and optional inverted
-//! dropout after each hidden layer. Dropout can be kept active at inference
-//! (`predict_mc`) to implement the MC-dropout UQ of §III-B.
+//! dropout after each hidden layer. The MC-dropout UQ of §III-B keeps that
+//! dropout active at inference; it runs on the fused engine in
+//! [`crate::batch`], which packs a snapshot of this model's weights.
 
 use le_linalg::{Matrix, Rng};
 
@@ -164,20 +165,6 @@ impl Mlp {
         Ok(self.predict(&xm)?.as_slice().to_vec())
     }
 
-    /// Stochastic inference with dropout *kept on* — one MC-dropout sample.
-    /// The UQ crate calls this repeatedly to form a predictive distribution.
-    pub fn predict_mc(&mut self, x: &Matrix, rng: &mut Rng) -> Result<Matrix> {
-        let mut h = x.clone();
-        let n = self.dense.len();
-        for i in 0..n {
-            h = self.dense[i].infer(&h)?;
-            if i + 1 < n {
-                h = self.dropout[i].forward(&h, rng);
-            }
-        }
-        Ok(h)
-    }
-
     /// Visit every parameter block (weights then bias, per layer, in order)
     /// together with its gradient. Block indices are stable across calls,
     /// matching `OptimizerState` registration.
@@ -285,15 +272,24 @@ mod tests {
     #[test]
     fn mc_dropout_varies_deterministic_does_not() {
         let mut rng = Rng::new(6);
-        let mut net =
-            Mlp::new(MlpConfig::regression_with_dropout(&[3, 32, 32, 1], 0.4), &mut rng).unwrap();
+        let net = Mlp::new(
+            MlpConfig::regression_with_dropout(&[3, 32, 32, 1], 0.4),
+            &mut rng,
+        )
+        .unwrap();
         let x = Matrix::from_rows(&[&[0.5, -0.5, 1.0]]);
         let d1 = net.predict(&x).unwrap().get(0, 0);
         let d2 = net.predict(&x).unwrap().get(0, 0);
         assert_eq!(d1, d2, "deterministic inference must be stable");
-        let mut mc_rng = Rng::new(7);
-        let m1 = net.predict_mc(&x, &mut mc_rng).unwrap().get(0, 0);
-        let m2 = net.predict_mc(&x, &mut mc_rng).unwrap().get(0, 0);
+        // One MC-dropout pass at two consult ordinals: different masks.
+        let mut scratch = crate::batch::BatchScratch::new(&net);
+        let (mut m1, mut m2) = ([0.0], [0.0]);
+        scratch
+            .mc_forward_into(x.as_slice(), 1, 1, 7, 0, &mut m1)
+            .unwrap();
+        scratch
+            .mc_forward_into(x.as_slice(), 1, 1, 7, 1, &mut m2)
+            .unwrap();
         assert_ne!(m1, m2, "MC-dropout samples should differ");
     }
 

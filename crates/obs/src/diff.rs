@@ -13,8 +13,6 @@
 //!   the current value exceeds the baseline by more than the tolerance
 //!   (one-sided — getting faster never fails), and only above a floor
 //!   (sub-floor measurements are noise).
-//! * **Gauges** hold derived timing values (speedups); they are reported
-//!   but never gate.
 //!
 //! Schedule-dependent instruments (`le_pool.queue_wait`-style: how many
 //! workers woke in time for a job) can be excluded with
@@ -24,7 +22,7 @@ use std::io;
 use std::path::Path;
 
 use crate::json::Value;
-use crate::snapshot::{CounterSnap, GaugeSnap, HistogramSnap, Snapshot, SpanSnap};
+use crate::snapshot::{CounterSnap, HistogramSnap, Snapshot, SpanSnap};
 
 /// Tunables for a diff run.
 #[derive(Debug, Clone)]
@@ -59,7 +57,7 @@ impl DiffOptions {
 /// Outcome of one diff run.
 #[derive(Debug, Default)]
 pub struct DiffReport {
-    /// Human-readable findings (regressions and informational notes).
+    /// Human-readable findings, one line per regression.
     pub lines: Vec<String>,
     /// Number of failed checks.
     pub regressions: usize,
@@ -76,10 +74,6 @@ impl DiffReport {
     fn fail(&mut self, msg: String) {
         self.regressions += 1;
         self.lines.push(format!("REGRESSION {msg}"));
-    }
-
-    fn note(&mut self, msg: String) {
-        self.lines.push(format!("note       {msg}"));
     }
 
     /// Render the findings plus a one-line summary.
@@ -105,12 +99,6 @@ pub fn parse_obs_snapshot(doc: &Value) -> Option<Snapshot> {
         snap.counters.push(CounterSnap {
             name: c.get("name")?.as_str()?.to_string(),
             value: c.get("value")?.as_f64()? as u64,
-        });
-    }
-    for g in doc.get("gauges")?.as_arr()? {
-        snap.gauges.push(GaugeSnap {
-            name: g.get("name")?.as_str()?.to_string(),
-            value: g.get("value")?.as_f64()?,
         });
     }
     for h in doc.get("histograms")?.as_arr()? {
@@ -261,26 +249,6 @@ pub fn diff_obs(
             }
         }
     }
-    // Gauges: informational only (derived timing values).
-    for bg in &base.gauges {
-        if opts.ignored(&bg.name) {
-            continue;
-        }
-        if let Some(cv) = cur.gauge(&bg.name) {
-            let rel = if bg.value.abs() > 1e-12 {
-                (cv - bg.value) / bg.value * 100.0
-            } else {
-                0.0
-            };
-            if rel.abs() > opts.tolerance_pct {
-                report.note(format!(
-                    "{label}: gauge `{}` moved {rel:+.1}% (baseline {:.3e}, current {:.3e}) — \
-                     gauges do not gate",
-                    bg.name, bg.value, cv
-                ));
-            }
-        }
-    }
 }
 
 /// Diff one BENCH median list pair into `report`.
@@ -386,10 +354,6 @@ mod tests {
                     value: 20,
                 },
             ],
-            gauges: vec![GaugeSnap {
-                name: "speedup".into(),
-                value: 3.0,
-            }],
             histograms: vec![HistogramSnap {
                 name: "sched.latency.learnt".into(),
                 bounds: vec![1.0, 10.0],
@@ -504,16 +468,6 @@ mod tests {
         let mut c = b.clone();
         c.spans[0].total_ns = 900_000; // 900× slower but still noise-scale
         assert!(run_diff(&b, &c, &DiffOptions::default()).is_clean());
-    }
-
-    #[test]
-    fn gauges_note_but_never_gate() {
-        let b = base_snapshot();
-        let mut c = b.clone();
-        c.gauges[0].value = 30.0;
-        let r = run_diff(&b, &c, &DiffOptions::default());
-        assert!(r.is_clean());
-        assert!(r.to_text().contains("gauges do not gate"));
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //!   accounting) consume the identical measurement that lands in telemetry.
 //! * **Counters** ([`Counter`], [`counter!`]) — monotonic `u64` event
 //!   counts.
-//! * **Gauges** ([`Gauge`]) — last-write-wins `f64` values.
 //! * **Histograms** ([`Histogram`]) — fixed-bucket `u64` counts over
 //!   caller-supplied upper bounds (used for simulated-time latency
 //!   distributions in `le-sched`).
@@ -70,8 +69,8 @@ mod snapshot;
 mod span;
 pub mod trace;
 
-pub use registry::{Counter, Gauge, Histogram, Registry, Span};
-pub use snapshot::{CounterSnap, GaugeSnap, HistogramSnap, Snapshot, SpanSnap};
+pub use registry::{Counter, Histogram, Registry, Span};
+pub use snapshot::{CounterSnap, HistogramSnap, Snapshot, SpanSnap};
 pub use span::{current_depth, SpanGuard, Stopwatch, TimedSpan};
 pub use trace::write_trace;
 

@@ -105,40 +105,6 @@ impl Counter {
 }
 
 // ---------------------------------------------------------------------------
-// Gauge
-// ---------------------------------------------------------------------------
-
-struct GaugeCore {
-    bits: AtomicU64,
-}
-
-/// A last-write-wins `f64` value.
-#[derive(Clone)]
-pub struct Gauge {
-    core: Arc<GaugeCore>,
-    enabled: Arc<AtomicBool>,
-}
-
-impl Gauge {
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.core.bits.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0.0 before the first set).
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.core.bits.load(Ordering::Relaxed))
-    }
-
-    fn reset(&self) {
-        self.core.bits.store(0, Ordering::Relaxed);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
 
@@ -327,7 +293,6 @@ impl Span {
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
     spans: BTreeMap<String, Span>,
 }
@@ -380,21 +345,6 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Counter {
                 core: Arc::new(CounterCore { cells: shards() }),
-                enabled: Arc::clone(&self.enabled),
-            })
-            .clone()
-    }
-
-    /// Get or register the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = relock(self.inner.lock());
-        inner
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Gauge {
-                core: Arc::new(GaugeCore {
-                    bits: AtomicU64::new(0),
-                }),
                 enabled: Arc::clone(&self.enabled),
             })
             .clone()
@@ -454,9 +404,6 @@ impl Registry {
         for c in inner.counters.values() {
             c.reset();
         }
-        for g in inner.gauges.values() {
-            g.reset();
-        }
         for h in inner.histograms.values() {
             h.reset();
         }
@@ -469,13 +416,12 @@ impl Registry {
         &self,
         f: impl FnOnce(
             &BTreeMap<String, Counter>,
-            &BTreeMap<String, Gauge>,
             &BTreeMap<String, Histogram>,
             &BTreeMap<String, Span>,
         ) -> R,
     ) -> R {
         let inner = relock(self.inner.lock());
-        f(&inner.counters, &inner.gauges, &inner.histograms, &inner.spans)
+        f(&inner.counters, &inner.histograms, &inner.spans)
     }
 }
 
@@ -503,16 +449,6 @@ mod tests {
         reg.set_enabled(true);
         c.add(5);
         assert_eq!(c.value(), 5);
-    }
-
-    #[test]
-    fn gauge_last_write_wins() {
-        let reg = Registry::new();
-        let g = reg.gauge("g");
-        assert!(g.get().abs() < 1e-300);
-        g.set(2.5);
-        g.set(-1.25);
-        assert!((g.get() + 1.25).abs() < 1e-15);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Snapshots list every instrument in lexicographic name order and merge
 //! shards in ascending shard index, so the *content* of a snapshot is
 //! deterministic: two snapshots of the same workload differ only in
-//! duration fields (`total_ns`, `min_ns`, `max_ns`, gauge seconds).
+//! duration fields (`total_ns`, `min_ns`, `max_ns`).
 
 use std::fmt::Write as _;
 use std::io;
@@ -19,15 +19,6 @@ pub struct CounterSnap {
     pub name: String,
     /// Merged total over all shards.
     pub value: u64,
-}
-
-/// A gauge's name and value at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSnap {
-    /// Registered name.
-    pub name: String,
-    /// Last written value (0.0 before the first set).
-    pub value: f64,
 }
 
 /// A histogram's bounds and merged bucket counts at snapshot time.
@@ -86,8 +77,6 @@ impl SpanSnap {
 pub struct Snapshot {
     /// All counters, lexicographic by name.
     pub counters: Vec<CounterSnap>,
-    /// All gauges, lexicographic by name.
-    pub gauges: Vec<GaugeSnap>,
     /// All histograms, lexicographic by name.
     pub histograms: Vec<HistogramSnap>,
     /// All spans, lexicographic by name.
@@ -98,11 +87,6 @@ impl Snapshot {
     /// The merged value of counter `name`, if registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|c| c.name == name).map(|c| c.value)
-    }
-
-    /// The gauge `name`'s value, if registered.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 
     /// The histogram `name`, if registered.
@@ -131,17 +115,6 @@ impl Snapshot {
                 "    {{\"name\": \"{}\", \"value\": {}}}",
                 escape(&c.name),
                 c.value
-            );
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"gauges\": [");
-        for (i, g) in self.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", \"value\": {}}}",
-                escape(&g.name),
-                json_f64(g.value)
             );
         }
         out.push_str("\n  ],\n");
@@ -202,12 +175,6 @@ impl Snapshot {
                 let _ = writeln!(out, "  {:<32} {}", c.name, c.value);
             }
         }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for g in &self.gauges {
-                let _ = writeln!(out, "  {:<32} {:e}", g.name, g.value);
-            }
-        }
         if !self.histograms.is_empty() {
             out.push_str("histograms:\n");
             for h in &self.histograms {
@@ -234,7 +201,7 @@ impl Snapshot {
 
 /// Render an `f64` as a JSON number; non-finite values (not representable
 /// in JSON) become 0 with a sign convention chosen never to occur in
-/// practice (bounds are sanitized, gauges come from durations).
+/// practice (bounds are sanitized).
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:e}")
@@ -273,19 +240,12 @@ impl Registry {
     /// Snapshot every instrument: shards merged in ascending shard index,
     /// instruments listed in lexicographic name order.
     pub fn snapshot(&self) -> Snapshot {
-        self.with_inner(|counters, gauges, histograms, spans| Snapshot {
+        self.with_inner(|counters, histograms, spans| Snapshot {
             counters: counters
                 .iter()
                 .map(|(name, c)| CounterSnap {
                     name: name.clone(),
                     value: c.value(),
-                })
-                .collect(),
-            gauges: gauges
-                .iter()
-                .map(|(name, g)| GaugeSnap {
-                    name: name.clone(),
-                    value: g.get(),
                 })
                 .collect(),
             histograms: histograms
@@ -336,7 +296,6 @@ mod tests {
     fn populated() -> Registry {
         let reg = Registry::new();
         reg.counter("jobs").add(3);
-        reg.gauge("speedup").set(2.5);
         let h = reg.histogram("lat", &[1.0, 10.0]);
         h.record(0.5);
         h.record(5.0);
@@ -352,7 +311,6 @@ mod tests {
         let snap = populated().snapshot();
         assert_eq!(snap.counter("jobs"), Some(3));
         assert_eq!(snap.counter("missing"), None);
-        assert!((snap.gauge("speedup").unwrap_or(0.0) - 2.5).abs() < 1e-15);
         let h = snap.histogram("lat").map(|h| h.counts.clone());
         assert_eq!(h, Some(vec![1, 1, 1]));
         let s = snap.span("phase.sim");
@@ -388,7 +346,7 @@ mod tests {
     #[test]
     fn text_summary_mentions_every_instrument() {
         let text = populated().snapshot().to_text("unit");
-        for needle in ["jobs", "speedup", "lat", "phase.sim"] {
+        for needle in ["jobs", "lat", "phase.sim"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
     }

@@ -25,10 +25,11 @@
 //!   speed.
 //! * **Index-ordered determinism** — results are stitched in chunk/index
 //!   order, never in completion order, so every helper returns bit-identical
-//!   results regardless of thread count or scheduling. [`Pool::par_reduce`]
-//!   additionally fixes its chunk boundaries and its tree-shaped combine
-//!   order as a pure function of `n` and the caller's `grain`, making even
-//!   floating-point reductions thread-count independent.
+//!   results regardless of thread count or scheduling.
+//! * **One dispatch path** — [`Pool::par_for_each`] alone decides whether a
+//!   decomposition runs inline or on the workers, and alone emits the
+//!   per-task trace span and fault-hook check; [`Pool::par_for_chunks`] and
+//!   [`Pool::par_map_index`] are built on it.
 //! * **Panic propagation** — a panic inside a job is caught on the worker,
 //!   carried back, and resumed on the calling thread (as the sequential
 //!   loop would have panicked), leaving the pool reusable.
@@ -56,27 +57,25 @@
 //! # Grain policy
 //!
 //! Dispatch on the persistent pool costs a few microseconds (one mutex
-//! round-trip plus condvar wakeups). Helpers therefore go inline whenever
-//! the decomposition would yield a single chunk, and `par_map_index` splits
-//! work into [`MAP_CHUNKS`] chunks — a fixed number, *not* a function of
-//! the thread count, so the decomposition (and therefore the trace event
-//! structure) is identical at every `LE_POOL_THREADS` while still giving
-//! the claiming cursor slack to load-balance skew without per-index cursor
-//! traffic. Callers with cheap per-index work
-//! choose `grain` (in [`Pool::par_reduce`] / [`Pool::par_for_chunks`]) so a
-//! chunk amortizes ~10µs of work; hot call sites additionally gate on
-//! problem size and fall back to their sequential loop below it.
+//! round-trip plus condvar wakeups). A decomposition with a single task
+//! therefore runs inline, and `par_map_index` splits work into
+//! [`MAP_CHUNKS`] chunks — a fixed number, *not* a function of the thread
+//! count, so the decomposition (and therefore the trace event structure) is
+//! identical at every `LE_POOL_THREADS` while still giving the claiming
+//! cursor slack to load-balance skew without per-index cursor traffic.
+//! Callers of [`Pool::par_for_chunks`] choose `chunk_len` so a chunk
+//! amortizes ~10µs of work; hot call sites additionally gate on problem
+//! size and fall back to their sequential loop below it.
 //!
 //! The thread count defaults to [`std::thread::available_parallelism`] and
 //! can be overridden with the `LE_POOL_THREADS` environment variable (read
 //! once, when the global pool is created). With one thread the pool spawns
-//! no workers at all and every helper degenerates to the plain sequential
-//! loop — zero overhead on single-core hosts.
+//! no workers at all and every helper runs its tasks in order on the
+//! caller, with no dispatch or wakeup cost on single-core hosts.
 //!
-//! The free functions ([`par_map_index`], [`par_map`], [`par_for_each`],
-//! [`par_for_chunks`], [`par_reduce`]) delegate to the process-wide
-//! [`Pool::global`]. Tests that need to compare thread counts construct
-//! private pools with [`Pool::with_threads`].
+//! The free functions ([`par_map_index`], [`par_map`], [`par_for_chunks`])
+//! delegate to the process-wide [`Pool::global`]. Tests that need to
+//! compare thread counts construct private pools with [`Pool::with_threads`].
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -139,7 +138,7 @@ pub mod fault {
         COUNTDOWN.load(Ordering::SeqCst) != DISARMED
     }
 
-    /// Called once per pool task by the decomposition helpers. The
+    /// Called once per pool task by [`crate::Pool::par_for_each`]. The
     /// disarmed fast path is a single inlined relaxed load so the hook
     /// stays invisible in the task-dispatch hot loop.
     #[inline(always)]
@@ -421,62 +420,41 @@ impl Pool {
     /// threads claim them first. Order of execution is unspecified — use
     /// the mapping helpers when results must be collected.
     ///
-    /// Emits one `pool.task` trace span per task on either path, so a
-    /// traced run has the same event structure inline and pooled.
+    /// This is the crate's one dispatch path: every other helper runs its
+    /// tasks through it. A call goes to the workers only when it has more
+    /// than one task and the pool is neither single-threaded nor already
+    /// inside a job; otherwise the tasks run inline, in index order. Either
+    /// way each task emits one `pool.task` trace span and one fault-hook
+    /// check, so a traced run has the same event structure, and an armed
+    /// worker panic the same ordinal, at every thread count.
     pub fn par_for_each<F>(&self, n_tasks: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
-        if n_tasks == 0 {
-            return;
-        }
-        if self.inline() || n_tasks == 1 {
-            for i in 0..n_tasks {
-                let _t = le_obs::trace_span!("pool.task");
-                fault::check();
-                f(i);
-            }
+        let task = |i: usize| {
+            let _t = le_obs::trace_span!("pool.task");
+            fault::check();
+            f(i);
+        };
+        if n_tasks < 2 || self.inline() {
+            (0..n_tasks).for_each(&task);
             return;
         }
         let cursor = AtomicUsize::new(0);
-        let body = move || loop {
+        self.run_job(&|| loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= n_tasks {
                 break;
             }
             le_obs::counter!("le_pool.tasks_claimed").inc();
-            let _t = le_obs::trace_span!("pool.task");
-            fault::check();
-            f(i);
-        };
-        self.run_job(&body);
-    }
-
-    /// Split `0..n` into `n_chunks` ranges of length `chunk`, evaluate
-    /// `make(lo, hi)` for each in parallel, and return the values in chunk
-    /// order (never completion order).
-    fn chunked_collect<V, F>(&self, n: usize, chunk: usize, make: F) -> Vec<V>
-    where
-        V: Send,
-        F: Fn(usize, usize) -> V + Sync,
-    {
-        let n_chunks = n.div_ceil(chunk);
-        let slots: Vec<Mutex<Option<V>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        self.par_for_each(n_chunks, |c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            let v = make(lo, hi);
-            *relock(slots[c].lock()) = Some(v);
+            task(i);
         });
-        slots
-            .into_iter()
-            .filter_map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect()
     }
 
     /// Map `f` over `0..n` in parallel; results are returned in index
     /// order and are bit-identical to the sequential `(0..n).map(f)`
-    /// regardless of thread count.
+    /// regardless of thread count. The range is split into at most
+    /// [`MAP_CHUNKS`] chunks, one task each.
     pub fn par_map_index<U, F>(&self, n: usize, f: F) -> Vec<U>
     where
         U: Send,
@@ -486,22 +464,11 @@ impl Pool {
             return Vec::new();
         }
         let chunk = n.div_ceil(n.min(MAP_CHUNKS));
-        // Effective chunk count after rounding the chunk length up — the
-        // same value `chunked_collect` derives on the pooled path.
-        let n_chunks = n.div_ceil(chunk);
-        if self.inline() || n < 2 {
-            // Same chunk decomposition — and the same one-`pool.task`-span-
-            // per-chunk trace structure — as the pooled path below.
-            let mut out = Vec::with_capacity(n);
-            for c in 0..n_chunks {
-                let _t = le_obs::trace_span!("pool.task");
-                fault::check();
-                let lo = c * chunk;
-                out.extend((lo..(lo + chunk).min(n)).map(&f));
-            }
-            return out;
-        }
-        let parts = self.chunked_collect(n, chunk, |lo, hi| (lo..hi).map(&f).collect::<Vec<U>>());
+        let mut parts: Vec<Vec<U>> = (0..n.div_ceil(chunk)).map(|_| Vec::new()).collect();
+        self.par_for_chunks(&mut parts, 1, |c, part| {
+            let lo = c * chunk;
+            part[0] = (lo..(lo + chunk).min(n)).map(&f).collect();
+        });
         let mut out = Vec::with_capacity(n);
         for part in parts {
             out.extend(part);
@@ -521,97 +488,25 @@ impl Pool {
 
     /// Split `data` into consecutive chunks of `chunk_len` elements (last
     /// chunk may be shorter) and run `f(start_index, chunk)` on each in
-    /// parallel. The decomposition depends only on `data.len()` and
-    /// `chunk_len`, never on the thread count.
+    /// parallel, one task per chunk. The decomposition depends only on
+    /// `data.len()` and `chunk_len`, never on the thread count.
     pub fn par_for_chunks<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        let n = data.len();
-        if n == 0 {
-            return;
-        }
         let chunk_len = chunk_len.max(1);
-        if self.inline() || n <= chunk_len {
-            for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                // One `pool.task` per chunk, matching the pooled path's
-                // per-task span from `par_for_each`.
-                let _t = le_obs::trace_span!("pool.task");
-                fault::check();
+        // Hand each task its chunk through a take-once slot; `&mut`
+        // disjointness is guaranteed by `chunks_mut`.
+        let slots: Vec<Mutex<Option<&mut [T]>>> = data
+            .chunks_mut(chunk_len)
+            .map(|chunk| Mutex::new(Some(chunk)))
+            .collect();
+        self.par_for_each(slots.len(), |c| {
+            if let Some(chunk) = relock(slots[c].lock()).take() {
                 f(c * chunk_len, chunk);
             }
-            return;
-        }
-        // Hand each worker-claimed task its chunk through a take-once slot;
-        // `&mut` disjointness is guaranteed by `chunks_mut`.
-        let tasks: Vec<Mutex<Option<(usize, &mut [T])>>> = data
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(c, chunk)| Mutex::new(Some((c * chunk_len, chunk))))
-            .collect();
-        self.par_for_each(tasks.len(), |i| {
-            if let Some((start, chunk)) = relock(tasks[i].lock()).take() {
-                f(start, chunk);
-            }
         });
-    }
-
-    /// Deterministic parallel reduction over `0..n`.
-    ///
-    /// The index range is split into chunks of `grain` indices; each chunk
-    /// is folded left-to-right as `combine(acc, map(i))` starting from
-    /// `init()`, and the per-chunk partials are then combined pairwise in
-    /// a fixed tree order. Both the chunk boundaries and the tree shape are
-    /// pure functions of `(n, grain)`, so the result — including
-    /// non-associative floating-point sums — is bit-identical for every
-    /// thread count, including the sequential path.
-    pub fn par_reduce<U, I, M, C>(&self, n: usize, grain: usize, init: I, map: M, combine: C) -> U
-    where
-        U: Send,
-        I: Fn() -> U + Sync,
-        M: Fn(usize) -> U + Sync,
-        C: Fn(U, U) -> U + Sync,
-    {
-        let grain = grain.max(1);
-        if n == 0 {
-            return init();
-        }
-        let fold_chunk = |lo: usize, hi: usize| {
-            let mut acc = init();
-            for i in lo..hi {
-                acc = combine(acc, map(i));
-            }
-            acc
-        };
-        let mut layer: Vec<U> = if self.inline() || n <= grain {
-            let n_chunks = n.div_ceil(grain);
-            (0..n_chunks)
-                .map(|c| {
-                    // One `pool.task` per chunk, matching the pooled path.
-                    let _t = le_obs::trace_span!("pool.task");
-                    fault::check();
-                    fold_chunk(c * grain, ((c + 1) * grain).min(n))
-                })
-                .collect()
-        } else {
-            self.chunked_collect(n, grain, fold_chunk)
-        };
-        while layer.len() > 1 {
-            let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-            let mut it = layer.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => next.push(combine(a, b)),
-                    None => next.push(a),
-                }
-            }
-            layer = next;
-        }
-        match layer.pop() {
-            Some(v) => v,
-            None => init(),
-        }
     }
 }
 
@@ -643,14 +538,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// [`Pool::par_for_each`] on the global pool.
-pub fn par_for_each<F>(n_tasks: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    Pool::global().par_for_each(n_tasks, f)
-}
-
 /// [`Pool::par_map_index`] on the global pool.
 pub fn par_map_index<U, F>(n: usize, f: F) -> Vec<U>
 where
@@ -677,17 +564,6 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     Pool::global().par_for_chunks(data, chunk_len, f)
-}
-
-/// [`Pool::par_reduce`] on the global pool.
-pub fn par_reduce<U, I, M, C>(n: usize, grain: usize, init: I, map: M, combine: C) -> U
-where
-    U: Send,
-    I: Fn() -> U + Sync,
-    M: Fn(usize) -> U + Sync,
-    C: Fn(U, U) -> U + Sync,
-{
-    Pool::global().par_reduce(n, grain, init, map, combine)
 }
 
 #[cfg(test)]
@@ -798,39 +674,6 @@ mod tests {
         });
         let expect: Vec<usize> = (0..8).map(|i| (0..8).map(|j| i * j).sum()).collect();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn par_reduce_float_result_is_thread_count_independent() {
-        // A non-associative float sum: chunk boundaries and tree order are
-        // functions of (n, grain) only, so all thread counts agree bitwise.
-        let n = 10_000;
-        let grain = 64;
-        let sum_at = |threads: usize| {
-            let pool = Pool::with_threads(threads);
-            pool.par_reduce(
-                n,
-                grain,
-                || 0.0f64,
-                |i| 1.0 / (i as f64 + 1.0),
-                |a, b| a + b,
-            )
-        };
-        let reference = sum_at(1);
-        for threads in [2, 3, 4, 8] {
-            assert_eq!(sum_at(threads).to_bits(), reference.to_bits());
-        }
-        // And it is a faithful harmonic sum (order differs from the naive
-        // left fold, so compare with tolerance).
-        let naive: f64 = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).sum();
-        assert!((reference - naive).abs() < 1e-9);
-    }
-
-    #[test]
-    fn par_reduce_empty_returns_identity() {
-        let pool = Pool::with_threads(4);
-        let v = pool.par_reduce(0, 8, || 42.0f64, |_| 0.0, |a, b| a + b);
-        assert!((v - 42.0).abs() < 1e-15);
     }
 
     #[test]

@@ -50,9 +50,10 @@ fn bp_potential_learns_and_accelerates_the_reference() {
     // deliberately thin — see EXPERIMENTS.md "bp pipeline tolerance" — so
     // the two arms are timed interleaved (a scheduler stall lands on both)
     // and the gate is the median of per-round ratios, not one mean that a
-    // single load spike can sink.
+    // single load spike can sink. Nine rounds: a host stall must cover
+    // five of them, not three, to sink the median.
     let pos = random_cluster(16, reference.r0, 1.3, &mut rng);
-    let (rounds, reps) = (5, 4);
+    let (rounds, reps) = (9, 4);
     let mut ratios = Vec::with_capacity(rounds);
     for _ in 0..rounds {
         let t0 = std::time::Instant::now();
