@@ -1,11 +1,10 @@
 //! Trace-overhead smoke: runs the same MD step loop with the event journal
 //! enabled and disabled, interleaved, and fails (exit 1) if the journaled
-//! median regresses by more than the gate percentage.
+//! median regresses by more than `GATE_PCT` percent.
 //!
 //! The journal's design budget is <100 ns per event and a single relaxed
 //! atomic load per guard when disabled; relative to a real force loop that
-//! is noise. The gate defaults to 5% and can be widened for debug builds or
-//! loaded machines with `LE_TRACE_OVERHEAD_PCT`.
+//! is noise.
 //!
 //! ```sh
 //! cargo run --release -p le-bench --bin trace_overhead
@@ -27,16 +26,15 @@ fn timed_run(sim: &NanoSim, probe: &NanoParams, seed: u64) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
+/// Largest tolerated journal-on slowdown of the median run, in percent.
+const GATE_PCT: f64 = 5.0;
+
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(|a, b| a.total_cmp(b));
     xs[xs.len() / 2]
 }
 
 fn main() -> ExitCode {
-    let gate_pct = std::env::var("LE_TRACE_OVERHEAD_PCT")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .unwrap_or(5.0);
     let sim = NanoSim::new(SimConfig::fast());
     let probe = NanoParams {
         h: 3.0,
@@ -75,9 +73,9 @@ fn main() -> ExitCode {
         m_on * 1e3,
         m_off * 1e3,
         overhead_pct,
-        gate_pct
+        GATE_PCT
     );
-    if overhead_pct > gate_pct {
+    if overhead_pct > GATE_PCT {
         eprintln!("trace_overhead: FAIL — journaling regressed the MD step loop");
         return ExitCode::FAILURE;
     }

@@ -75,27 +75,6 @@ impl Harness {
         }
     }
 
-    /// Harness taking `samples` timed batches per benchmark, ignoring the
-    /// process arguments (used by tests).
-    pub fn with_samples(samples: usize) -> Self {
-        Self::with_samples_json(samples, false)
-    }
-
-    /// Like [`Harness::with_samples`], with JSON output set explicitly
-    /// (used by tests that exercise the writer).
-    pub fn with_samples_json(samples: usize, json: bool) -> Self {
-        Self {
-            samples: samples.max(1),
-            json,
-            recorded: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Whether `--json` was requested.
-    pub fn json_mode(&self) -> bool {
-        self.json
-    }
-
     /// Time `f`, printing `name: median (min … max) per iter`.
     /// Returns the median seconds per iteration.
     pub fn bench<R, F: FnMut() -> R>(&self, name: &str, mut f: F) -> f64 {
@@ -176,11 +155,6 @@ impl Harness {
         median
     }
 
-    /// Measurements recorded so far, in `bench` call order.
-    pub fn measurements(&self) -> Vec<Measurement> {
-        self.recorded.borrow().clone()
-    }
-
     /// In `--json` mode, write every recorded measurement to
     /// `results/BENCH_<name>.json` at the workspace root, plus the global
     /// observability snapshot as `results/OBS_bench_<name>.json` (whatever
@@ -203,41 +177,6 @@ impl Harness {
             Err(e) => eprintln!("warning: could not write OBS snapshot for {name}: {e}"),
         }
     }
-}
-
-/// A `BENCH_*.json` document read back through [`parse_bench_json`].
-#[derive(Debug, Clone)]
-pub struct BenchDoc {
-    /// The bench group name (`"bench"` field).
-    pub bench: String,
-    /// Timed batches per entry (`"samples"` field).
-    pub samples: usize,
-    /// The recorded measurements, in file order.
-    pub entries: Vec<Measurement>,
-}
-
-/// Parse a document produced by the `--json` writer back into its
-/// measurements. Returns `None` if the document is not valid JSON or does
-/// not have the `BENCH_*.json` shape.
-pub fn parse_bench_json(doc: &str) -> Option<BenchDoc> {
-    let v = le_obs::json::parse(doc)?;
-    let bench = v.get("bench")?.as_str()?.to_string();
-    let samples = v.get("samples")?.as_usize()?;
-    let mut entries = Vec::new();
-    for e in v.get("entries")?.as_arr()? {
-        entries.push(Measurement {
-            name: e.get("name")?.as_str()?.to_string(),
-            median_s: e.get("median_s")?.as_f64()?,
-            min_s: e.get("min_s")?.as_f64()?,
-            max_s: e.get("max_s")?.as_f64()?,
-            iters: e.get("iters")?.as_usize()?,
-        });
-    }
-    Some(BenchDoc {
-        bench,
-        samples,
-        entries,
-    })
 }
 
 /// Render the measurement set as a small self-contained JSON document.
@@ -279,19 +218,27 @@ fn fmt_time(s: f64) -> String {
 mod tests {
     use super::*;
 
+    fn harness(samples: usize, json: bool) -> Harness {
+        Harness {
+            samples,
+            json,
+            recorded: RefCell::new(Vec::new()),
+        }
+    }
+
     #[test]
     fn bench_returns_positive_median() {
-        let h = Harness::with_samples(3);
+        let h = harness(3, false);
         let m = h.bench("noop_sum", || (0..100u64).sum::<u64>());
         assert!(m > 0.0);
     }
 
     #[test]
     fn bench_records_measurements() {
-        let h = Harness::with_samples(2);
+        let h = harness(2, false);
         h.bench("a", || 1u64 + 1);
         h.bench("b", || 2u64 + 2);
-        let ms = h.measurements();
+        let ms = h.recorded.borrow().clone();
         assert_eq!(ms.len(), 2);
         assert_eq!(ms[0].name, "a");
         assert_eq!(ms[1].name, "b");
@@ -300,25 +247,24 @@ mod tests {
 
     #[test]
     fn record_reports_median_of_rounds() {
-        let h = Harness::with_samples(1);
+        let h = harness(1, false);
         let med = h.record("ext/ab", &[3.0e-6, 1.0e-6, 2.0e-6], 100);
         assert_eq!(med, 2.0e-6);
-        let ms = h.measurements();
+        let ms = h.recorded.borrow().clone();
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].name, "ext/ab");
         assert_eq!(ms[0].min_s, 1.0e-6);
         assert_eq!(ms[0].max_s, 3.0e-6);
         assert_eq!(ms[0].iters, 100);
         assert_eq!(h.record("ext/empty", &[], 1), 0.0);
-        assert_eq!(h.measurements().len(), 1, "empty sample set records nothing");
+        assert_eq!(h.recorded.borrow().len(), 1, "empty sample set records nothing");
     }
 
     #[test]
     fn finish_without_json_is_a_noop() {
-        let h = Harness::with_samples(1);
+        let h = harness(1, false);
         h.bench("c", || 0u64);
         h.finish("unit_test_noop"); // must not write anything or panic
-        assert!(!h.json_mode());
     }
 
     #[test]
@@ -374,22 +320,24 @@ mod tests {
                 iters: 9,
             },
         ];
-        let doc = parse_bench_json(&render_json("demo", 7, &entries)).unwrap();
-        assert_eq!(doc.bench, "demo");
-        assert_eq!(doc.samples, 7);
-        assert_eq!(doc.entries.len(), 3);
-        for (orig, back) in entries.iter().zip(doc.entries.iter()) {
-            assert_eq!(orig.name, back.name);
-            assert_eq!(orig.iters, back.iters);
-            assert_eq!(orig.median_s.to_bits(), back.median_s.to_bits());
-            assert_eq!(orig.min_s.to_bits(), back.min_s.to_bits());
-            assert_eq!(orig.max_s.to_bits(), back.max_s.to_bits());
+        let doc = le_obs::json::parse(&render_json("demo", 7, &entries)).unwrap();
+        assert_eq!(doc.get("bench").and_then(|v| v.as_str()), Some("demo"));
+        assert_eq!(doc.get("samples").and_then(|v| v.as_usize()), Some(7));
+        let back = doc.get("entries").and_then(|v| v.as_arr()).unwrap();
+        assert_eq!(back.len(), 3);
+        for (orig, e) in entries.iter().zip(back) {
+            let secs = |k: &str| e.get(k).and_then(|v| v.as_f64()).unwrap().to_bits();
+            assert_eq!(e.get("name").and_then(|v| v.as_str()), Some(orig.name.as_str()));
+            assert_eq!(e.get("iters").and_then(|v| v.as_usize()), Some(orig.iters));
+            assert_eq!(secs("median_s"), orig.median_s.to_bits());
+            assert_eq!(secs("min_s"), orig.min_s.to_bits());
+            assert_eq!(secs("max_s"), orig.max_s.to_bits());
         }
     }
 
     #[test]
     fn written_bench_json_round_trips_from_disk() {
-        let h = Harness::with_samples_json(2, true);
+        let h = harness(2, true);
         h.bench("rt/a", || (0..64u64).sum::<u64>());
         h.bench("rt/b", || (0..32u64).product::<u64>());
         let name = "unit_roundtrip";
@@ -397,17 +345,22 @@ mod tests {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
         let path = format!("{dir}/BENCH_{name}.json");
         let body = std::fs::read_to_string(&path).unwrap();
-        let doc = parse_bench_json(&body).unwrap();
-        assert_eq!(doc.bench, name);
-        assert_eq!(doc.entries.len(), 2);
-        assert_eq!(doc.entries[0].name, "rt/a");
-        assert_eq!(doc.entries[1].name, "rt/b");
-        for e in &doc.entries {
+        let doc = le_obs::json::parse(&body).unwrap();
+        assert_eq!(doc.get("bench").and_then(|v| v.as_str()), Some(name));
+        let entries = doc.get("entries").and_then(|v| v.as_arr()).unwrap();
+        let names: Vec<&str> = entries
+            .iter()
+            .filter_map(|e| e.get("name").and_then(|v| v.as_str()))
+            .collect();
+        assert_eq!(names, ["rt/a", "rt/b"]);
+        for e in entries {
+            let secs = |k: &str| e.get(k).and_then(|v| v.as_f64()).unwrap();
             assert!(
-                e.min_s <= e.median_s && e.median_s <= e.max_s,
-                "ordering violated in {e:?}"
+                secs("min_s") <= secs("median_s") && secs("median_s") <= secs("max_s"),
+                "ordering violated in {body}"
             );
-            assert!(e.min_s > 0.0 && e.iters >= 1);
+            assert!(secs("min_s") > 0.0);
+            assert!(e.get("iters").and_then(|v| v.as_usize()).unwrap() >= 1);
         }
         // finish() must also have dropped an OBS snapshot next to it.
         let obs_path = format!("{dir}/OBS_bench_{name}.json");
@@ -416,15 +369,6 @@ mod tests {
         for p in [path, obs_path.clone(), obs_path.replace(".json", ".txt")] {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn parse_rejects_wrong_shape() {
-        assert!(parse_bench_json("not json").is_none());
-        assert!(parse_bench_json("{\"bench\": \"x\"}").is_none());
-        assert!(
-            parse_bench_json("{\"bench\": \"x\", \"samples\": 1, \"entries\": [{}]}").is_none()
-        );
     }
 
     #[test]

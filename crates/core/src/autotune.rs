@@ -115,11 +115,6 @@ impl Autotuner {
             })
         }
     }
-
-    /// Point prediction without the safety gate (for analysis).
-    pub fn predict_raw(&self, params: &[f64]) -> Result<Vec<f64>> {
-        self.surrogate.predict(params)
-    }
 }
 
 /// Generate a labelled training set by running the expensive search on a

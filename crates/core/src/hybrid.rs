@@ -780,62 +780,6 @@ impl<S: Simulator> HybridEngine<S> {
             self.n_lookups() as f64 / total as f64
         }
     }
-
-    /// Calibrate the UQ gate from labelled validation pairs: choose the
-    /// largest threshold τ such that, *on the validation set*, every query
-    /// the gate would serve from the surrogate has error ≤ `max_error`
-    /// (infinity-norm over outputs). Returns the chosen τ and the lookup
-    /// fraction it achieves on the validation set; leaves the gate
-    /// unchanged if no τ admits any lookups.
-    ///
-    /// This operationalizes §III-B: "once [the uncertainty] is low enough,
-    /// the training routine might less likely need more data" — with "low
-    /// enough" *measured* instead of guessed.
-    pub fn calibrate_gate(
-        &mut self,
-        val_x: &[Vec<f64>],
-        val_y: &[Vec<f64>],
-        max_error: f64,
-    ) -> Result<Option<(f64, f64)>> {
-        if val_x.is_empty() || val_x.len() != val_y.len() {
-            return invalid("bad validation set");
-        }
-        if !(max_error > 0.0) {
-            return invalid("max_error must be positive");
-        }
-        let surrogate = self
-            .surrogate
-            .as_mut()
-            .ok_or_else(|| LeError::InsufficientData("no trained surrogate".into()))?;
-        // Score every validation point with one fused MC-dropout
-        // evaluation: (gate std, actual max error).
-        let rows: Vec<&[f64]> = val_x.iter().map(Vec::as_slice).collect();
-        let preds = surrogate.predict_with_uncertainty_rows(&rows)?;
-        let mut scored: Vec<(f64, f64)> = Vec::with_capacity(val_x.len());
-        for (pred, y) in preds.iter().zip(val_y.iter()) {
-            let err = pred
-                .mean
-                .iter()
-                .zip(y.iter())
-                .map(|(&p, &t)| (p - t).abs())
-                .fold(0.0f64, f64::max);
-            scored.push((pred.max_std(), err));
-        }
-        // Sort by gate std ascending; the candidate thresholds are just
-        // above each point's std. Admit the longest prefix that stays
-        // within the error budget: τ slightly above its last point's std.
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let admitted = scored
-            .iter()
-            .position(|&(_, err)| err > max_error)
-            .unwrap_or(scored.len());
-        if admitted == 0 {
-            return Ok(None);
-        }
-        let tau = scored[admitted - 1].0 * 1.0000001 + f64::MIN_POSITIVE;
-        self.config.uncertainty_threshold = tau;
-        Ok(Some((tau, admitted as f64 / scored.len() as f64)))
-    }
 }
 
 #[cfg(test)]
@@ -886,12 +830,6 @@ mod tests {
         for tau in [0.0, f64::NAN] {
             assert!(matches!(
                 engine.set_uncertainty_threshold(tau),
-                Err(LeError::InvalidConfig(_))
-            ));
-        }
-        for max_error in [0.0, f64::NAN] {
-            assert!(matches!(
-                engine.calibrate_gate(&[vec![0.0, 0.0]], &[vec![0.0]], max_error),
                 Err(LeError::InvalidConfig(_))
             ));
         }
@@ -1125,66 +1063,6 @@ mod tests {
         // The measured characteristic times are ordered as the paper
         // assumes: lookups far cheaper than simulations.
         assert!(s.times.t_lookup < s.times.t_train);
-    }
-
-    #[test]
-    fn calibrate_gate_picks_a_safe_threshold() {
-        let mut engine = engine(0.5, 21);
-        let mut rng = Rng::new(22);
-        // Warm up with enough data for a decent surrogate.
-        for _ in 0..150 {
-            let x = [rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)];
-            let _ = engine.query(&x).unwrap();
-        }
-        assert!(engine.has_surrogate());
-        // Validation pairs from the analytic truth.
-        let mut val_x = Vec::new();
-        let mut val_y = Vec::new();
-        for _ in 0..60 {
-            let x = vec![rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)];
-            let y = engine.simulator().truth(&x);
-            val_x.push(x);
-            val_y.push(y);
-        }
-        let max_error = 0.5;
-        let result = engine.calibrate_gate(&val_x, &val_y, max_error).unwrap();
-        if let Some((tau, lookup_frac)) = result {
-            assert!(tau > 0.0 && tau.is_finite());
-            assert!((0.0..=1.0).contains(&lookup_frac));
-            // Verify the guarantee on the validation set itself: every
-            // point the calibrated gate admits has error ≤ max_error.
-            for (x, y) in val_x.iter().zip(val_y.iter()) {
-                let r = engine.query(x).unwrap();
-                if r.source == QuerySource::Lookup {
-                    let err = r
-                        .output
-                        .iter()
-                        .zip(y.iter())
-                        .map(|(&p, &t)| (p - t).abs())
-                        .fold(0.0f64, f64::max);
-                    // MC noise between calibration pass and query pass can
-                    // admit borderline points; allow modest slack.
-                    assert!(
-                        err <= max_error * 1.5,
-                        "admitted lookup error {err} exceeds budget {max_error}"
-                    );
-                }
-            }
-        }
-        // Error cases.
-        assert!(engine.calibrate_gate(&[], &[], 0.1).is_err());
-        assert!(engine.calibrate_gate(&val_x, &val_y, 0.0).is_err());
-    }
-
-    #[test]
-    fn calibrate_gate_requires_a_surrogate() {
-        let mut engine = engine(0.5, 23);
-        let val = vec![vec![0.0, 0.0]];
-        let val_y = vec![vec![0.0]];
-        assert!(matches!(
-            engine.calibrate_gate(&val, &val_y, 0.1),
-            Err(LeError::InsufficientData(_))
-        ));
     }
 
     #[test]

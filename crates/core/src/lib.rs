@@ -9,8 +9,6 @@
 //! most requests are served by a trained network instead of a full
 //! simulation. This crate is that wrapper:
 //!
-//! * [`taxonomy`] — the paper's six-way HPCforML / MLforHPC classification,
-//!   as a typed vocabulary used in reports.
 //! * [`simulator`] — the [`simulator::Simulator`] trait any expensive
 //!   computation implements to join the framework (the MD, epidemic, and
 //!   tissue substrates in this workspace all do).
@@ -35,6 +33,9 @@
 //!   that keeps the engine answering under simulator faults, non-finite
 //!   outputs, and failed retrains: bounded seeded retries, surrogate
 //!   quarantine with re-admission, and a terminal sim-only `Degraded` mode.
+//! * [`staleness`] — drift detection for the installed surrogate
+//!   ([`staleness::StalenessDetector`]): gate-std inflation and calibration
+//!   decay over sliding windows, which drive audits and rolling retrains.
 
 pub mod accounting;
 pub mod active;
@@ -45,7 +46,6 @@ pub mod simulator;
 pub mod staleness;
 pub mod supervisor;
 pub mod surrogate;
-pub mod taxonomy;
 
 pub use hybrid::{HybridConfig, HybridEngine, QuerySource, RollingRetrainConfig};
 pub use simulator::Simulator;

@@ -322,88 +322,6 @@ impl NnSurrogate {
     }
 }
 
-impl NnSurrogate {
-    /// Serialize the surrogate (network + both scalers) to a single
-    /// self-describing text blob.
-    pub fn to_string_blob(&self) -> String {
-        format!(
-            "le-surrogate v1\nmc_samples {}\n--model--\n{}--x-scaler--\n{}--y-scaler--\n{}",
-            self.mc_samples,
-            le_nn::serialize::model_to_string(&self.net),
-            le_nn::serialize::scaler_to_string(&self.x_scaler),
-            le_nn::serialize::scaler_to_string(&self.y_scaler),
-        )
-    }
-
-    /// Restore a surrogate from [`NnSurrogate::to_string_blob`] output.
-    /// `seed` re-seeds the MC-dropout stream (predictions are unaffected;
-    /// only the UQ sampling noise differs).
-    pub fn from_string_blob(blob: &str, seed: u64) -> Result<Self> {
-        let mut lines = blob.lines();
-        let magic = lines.next().unwrap_or("");
-        if magic.trim() != "le-surrogate v1" {
-            return Err(LeError::Model(format!("bad surrogate magic `{magic}`")));
-        }
-        let mc_line = lines.next().unwrap_or("");
-        let mc_samples: usize = mc_line
-            .strip_prefix("mc_samples ")
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| LeError::Model(format!("bad mc_samples line `{mc_line}`")))?;
-        // Split on the section markers.
-        let rest: String = blob.split_once("--model--\n").map(|x| x.1)
-            .ok_or_else(|| LeError::Model("missing model section".into()))?
-            .to_string();
-        let (model_part, rest) = rest
-            .split_once("--x-scaler--\n")
-            .ok_or_else(|| LeError::Model("missing x-scaler section".into()))?;
-        let (x_part, y_part) = rest
-            .split_once("--y-scaler--\n")
-            .ok_or_else(|| LeError::Model("missing y-scaler section".into()))?;
-        let net = le_nn::serialize::model_from_string(model_part)
-            .map_err(|e| LeError::Model(e.to_string()))?;
-        let x_scaler = le_nn::serialize::scaler_from_string(x_part)
-            .map_err(|e| LeError::Model(e.to_string()))?;
-        let y_scaler = le_nn::serialize::scaler_from_string(y_part)
-            .map_err(|e| LeError::Model(e.to_string()))?;
-        let in_dim = net.in_dim();
-        let out_dim = net.out_dim();
-        if x_scaler.cols() != in_dim || y_scaler.cols() != out_dim {
-            return Err(LeError::Model(format!(
-                "scaler/model width mismatch: x {} vs {}, y {} vs {}",
-                x_scaler.cols(),
-                in_dim,
-                y_scaler.cols(),
-                out_dim
-            )));
-        }
-        let scratch = RefCell::new(BatchScratch::new(&net));
-        Ok(Self {
-            net,
-            x_scaler,
-            y_scaler,
-            mc_samples: mc_samples.max(2),
-            mask_seed: seed,
-            mc_ordinal: 0,
-            in_dim,
-            out_dim,
-            scratch,
-            stage: RefCell::new(Stage::default()),
-        })
-    }
-
-    /// Save to a file.
-    pub fn save(&self, path: &std::path::Path) -> Result<()> {
-        std::fs::write(path, self.to_string_blob()).map_err(|e| LeError::Model(e.to_string()))
-    }
-
-    /// Load from a file.
-    pub fn load(path: &std::path::Path, seed: u64) -> Result<Self> {
-        let blob =
-            std::fs::read_to_string(path).map_err(|e| LeError::Model(e.to_string()))?;
-        Self::from_string_blob(&blob, seed)
-    }
-}
-
 impl UncertainModel for NnSurrogate {
     fn predict_with_uncertainty(&mut self, x: &[f64]) -> Prediction {
         NnSurrogate::predict_with_uncertainty(self, x)
@@ -510,73 +428,6 @@ mod tests {
         })
         .unwrap();
         assert!(s.predict(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn blob_roundtrip_preserves_predictions() {
-        let (x, y) = dataset(200, 6);
-        let s = NnSurrogate::fit(
-            &x,
-            &y,
-            &SurrogateConfig {
-                epochs: 50,
-                dropout: 0.1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let blob = s.to_string_blob();
-        let restored = NnSurrogate::from_string_blob(&blob, 99).unwrap();
-        assert_eq!(restored.input_dim(), 2);
-        assert_eq!(restored.output_dim(), 2);
-        let probe = [0.4, -0.2];
-        assert_eq!(
-            s.predict(&probe).unwrap(),
-            restored.predict(&probe).unwrap(),
-            "bit-exact point predictions after round-trip"
-        );
-    }
-
-    #[test]
-    fn blob_rejects_corruption() {
-        let (x, y) = dataset(60, 7);
-        let s = NnSurrogate::fit(
-            &x,
-            &y,
-            &SurrogateConfig {
-                epochs: 10,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let blob = s.to_string_blob();
-        assert!(NnSurrogate::from_string_blob("garbage", 0).is_err());
-        let truncated: String = blob.lines().take(4).collect::<Vec<_>>().join("\n");
-        assert!(NnSurrogate::from_string_blob(&truncated, 0).is_err());
-        let no_y = blob.replace("--y-scaler--", "--nope--");
-        assert!(NnSurrogate::from_string_blob(&no_y, 0).is_err());
-    }
-
-    #[test]
-    fn file_save_load() {
-        let (x, y) = dataset(60, 8);
-        let s = NnSurrogate::fit(
-            &x,
-            &y,
-            &SurrogateConfig {
-                epochs: 10,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let dir = std::env::temp_dir().join("le_surrogate_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("surrogate.txt");
-        s.save(&path).unwrap();
-        let restored = NnSurrogate::load(&path, 1).unwrap();
-        let probe = [0.1, 0.1];
-        assert_eq!(s.predict(&probe).unwrap(), restored.predict(&probe).unwrap());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

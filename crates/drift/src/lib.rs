@@ -20,11 +20,10 @@
 //!   `(seed, axis, t)` via a splitmix64-style hash: no state, no wall clock,
 //!   no ambient entropy, so the exact same logical times drift by the exact
 //!   same amounts at any thread count, in any execution order.
-//! * [`presets`] — ready-made schedules for the two paper substrates: the
-//!   nanoconfinement MD parameter distribution (`[h, z_p, z_n, c, d]`) and
-//!   the epidemic surveillance stream, plus range-respecting appliers
-//!   ([`presets::shift_nano`], [`presets::shift_surveillance`]) that keep
-//!   drifted parameters physically valid.
+//! * [`presets`] — the ready-made schedule for the nanoconfinement MD
+//!   parameter distribution (`[h, z_p, z_n, c, d]`) that the drift campaign
+//!   runs, plus a range-respecting applier ([`presets::shift_nano`]) that
+//!   keeps drifted parameters physically valid.
 //!
 //! Everything here passes the le-lint determinism and wallclock rules by
 //! construction: the only inputs are the seed, the axis, and the logical
@@ -231,12 +230,11 @@ impl DriftSchedule {
     }
 }
 
-/// Ready-made schedules for the two paper substrates, plus appliers that
-/// keep the drifted parameters physically valid.
+/// The ready-made schedule for the nanoconfinement MD substrate, plus the
+/// applier that keeps drifted parameters physically valid.
 pub mod presets {
     use super::{AxisDrift, DriftSchedule, DriftWave};
     use le_mdsim::nanoconfinement::NanoParams;
-    use le_netdyn::surveillance::Surveillance;
 
     /// Feature axes of [`NanoParams::to_features`]: `[h, z_p, z_n, c, d]`.
     const NANO_H: usize = 0;
@@ -298,77 +296,13 @@ pub mod presets {
             d: clamp(params.d + schedule.offset(NANO_D, t), NanoParams::D_RANGE),
         }
     }
-
-    /// Surveillance-stream axes: reporting fraction, noise, delay (weeks).
-    const SURV_REPORTING: usize = 0;
-    const SURV_NOISE: usize = 1;
-    const SURV_DELAY: usize = 2;
-
-    /// The drift-campaign schedule for the epidemic surveillance stream:
-    /// reporting completeness decays on a ramp (fatigue), observation noise
-    /// steps up mid-campaign (instrument change), and the reporting delay
-    /// oscillates with the season.
-    pub fn surveillance(seed: u64, warmup: u64, span: u64) -> DriftSchedule {
-        let span = span.max(2);
-        DriftSchedule::new(
-            seed,
-            vec![
-                AxisDrift {
-                    axis: SURV_REPORTING,
-                    wave: DriftWave::Ramp {
-                        start: warmup,
-                        end: warmup + span,
-                        amplitude: -0.35,
-                    },
-                },
-                AxisDrift {
-                    axis: SURV_NOISE,
-                    wave: DriftWave::Step {
-                        at: warmup + span / 2,
-                        amplitude: 0.15,
-                    },
-                },
-                AxisDrift {
-                    axis: SURV_DELAY,
-                    wave: DriftWave::Oscillation {
-                        period: span,
-                        amplitude: 1.5,
-                    },
-                },
-            ],
-            0.01,
-        )
-        .expect("preset amplitudes are finite") // lint:allow(no-panic): static config
-    }
-
-    /// Apply `schedule` to a surveillance model as of logical week `t`,
-    /// clamping the drifted parameters to their valid ranges (reporting
-    /// fraction in `[0.05, 1.0]`, noise in `[0.0, 2.0]`, delay in
-    /// `0..=8` weeks, rounded to whole weeks).
-    pub fn shift_surveillance(
-        schedule: &DriftSchedule,
-        base: &Surveillance,
-        t: u64,
-    ) -> Surveillance {
-        let rf = (base.reporting_fraction + schedule.offset(SURV_REPORTING, t)).clamp(0.05, 1.0);
-        let noise = (base.noise + schedule.offset(SURV_NOISE, t)).clamp(0.0, 2.0);
-        let delay = (base.delay_weeks as f64 + schedule.offset(SURV_DELAY, t))
-            .round()
-            .clamp(0.0, 8.0) as usize;
-        Surveillance {
-            reporting_fraction: rf,
-            noise,
-            delay_weeks: delay,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::presets::{nanoconfinement, shift_nano, shift_surveillance, surveillance};
+    use super::presets::{nanoconfinement, shift_nano};
     use super::*;
     use le_mdsim::nanoconfinement::NanoParams;
-    use le_netdyn::surveillance::Surveillance;
 
     #[test]
     fn config_validation() {
@@ -540,24 +474,5 @@ mod tests {
         };
         let late = shift_nano(&schedule, &p, 10_000);
         assert!(late.h > p.h + 1.0, "h should have ramped up: {}", late.h);
-    }
-
-    #[test]
-    fn surveillance_preset_keeps_stream_valid() {
-        let schedule = surveillance(13, 10, 52);
-        let base = Surveillance {
-            reporting_fraction: 0.8,
-            noise: 0.1,
-            delay_weeks: 1,
-        };
-        for t in 0..200 {
-            let s = shift_surveillance(&schedule, &base, t);
-            assert!((0.05..=1.0).contains(&s.reporting_fraction));
-            assert!((0.0..=2.0).contains(&s.noise));
-            assert!(s.delay_weeks <= 8);
-        }
-        // Reporting fatigue is real after the ramp saturates.
-        let late = shift_surveillance(&schedule, &base, 10_000);
-        assert!(late.reporting_fraction < 0.55);
     }
 }

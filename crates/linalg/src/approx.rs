@@ -39,26 +39,6 @@ pub fn approx_eq(a: f64, b: f64) -> bool {
     approx_eq_with(a, b, DEFAULT_ABS_TOL, DEFAULT_REL_TOL)
 }
 
-/// Max elementwise deviation between two equal-length slices; `None` when
-/// lengths differ.
-pub fn max_abs_diff(a: &[f64], b: &[f64]) -> Option<f64> {
-    if a.len() != b.len() {
-        return None;
-    }
-    Some(
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max),
-    )
-}
-
-/// True when every element pair of two equal-length slices satisfies
-/// [`approx_eq`].
-pub fn slices_close(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| approx_eq(x, y))
-}
-
 /// Assert two float expressions are close, with a readable failure message.
 ///
 /// `assert_close!(a, b)` uses the default tolerances;
@@ -115,14 +95,6 @@ mod tests {
         assert!(!approx_eq(f64::NAN, f64::NAN));
         assert!(!approx_eq(f64::NAN, 0.0));
         assert!(!approx_eq(f64::INFINITY, 1e300));
-    }
-
-    #[test]
-    fn slice_helpers() {
-        assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.0, 2.5]), Some(0.5));
-        assert_eq!(max_abs_diff(&[1.0], &[1.0, 2.0]), None);
-        assert!(slices_close(&[1.0, 2.0], &[1.0, 2.0 + 1e-12]));
-        assert!(!slices_close(&[1.0], &[1.0, 2.0]));
     }
 
     #[test]

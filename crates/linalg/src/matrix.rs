@@ -242,21 +242,6 @@ impl Matrix {
         })
     }
 
-    /// In-place `self += alpha * rhs` (the optimizer's axpy).
-    pub fn axpy(&mut self, alpha: f64, rhs: &Matrix) -> Result<()> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "axpy",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Scale every element in place.
     pub fn scale_mut(&mut self, alpha: f64) {
         for v in &mut self.data {
@@ -308,11 +293,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Sum of all elements.
@@ -557,15 +537,6 @@ pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// In-place `y += alpha * x` on slices.
-#[inline]
-pub fn axpy_slice(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,14 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_matches_manual() {
-        let mut a = Matrix::from_rows(&[&[1.0, 1.0]]);
-        let g = Matrix::from_rows(&[&[2.0, -4.0]]);
-        a.axpy(-0.5, &g).unwrap();
-        assert_eq!(a, Matrix::from_rows(&[&[0.0, 3.0]]));
-    }
-
-    #[test]
     fn bias_broadcast_and_col_sums() {
         let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         a.add_row_broadcast(&[10.0, 20.0]).unwrap();
@@ -709,12 +672,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0]]);
         let g = a.gather_rows(&[3, 1]);
         assert_eq!(g, Matrix::from_rows(&[&[3.0], &[1.0]]));
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -737,8 +694,5 @@ mod tests {
     fn slice_helpers() {
         assert!((dot(&[1.0, 2.0], &[3.0, 4.0]) - 11.0).abs() < 1e-12);
         assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        let mut y = vec![1.0, 1.0];
-        axpy_slice(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
     }
 }

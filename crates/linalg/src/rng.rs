@@ -270,26 +270,6 @@ impl Rng {
         self.uniform() < p
     }
 
-    /// Binomial(n, p) sample. For the small `n` used by the epidemic
-    /// simulator a direct sum of Bernoulli trials is fastest and exact.
-    pub fn binomial(&mut self, n: usize, p: f64) -> usize {
-        if p <= 0.0 {
-            return 0;
-        }
-        if p >= 1.0 {
-            return n;
-        }
-        // For large n use a normal approximation guarded to the valid range;
-        // the epidemic simulator only hits this for whole-population draws.
-        if n > 256 {
-            let mean = n as f64 * p;
-            let sd = (n as f64 * p * (1.0 - p)).sqrt();
-            let x = self.normal(mean, sd).round();
-            return x.clamp(0.0, n as f64) as usize;
-        }
-        (0..n).filter(|_| self.bernoulli(p)).count()
-    }
-
     /// Poisson(lambda) via Knuth for small lambda, normal approximation for
     /// large.
     pub fn poisson(&mut self, lambda: f64) -> usize {
@@ -332,16 +312,6 @@ impl Rng {
         }
         idx.truncate(k);
         idx
-    }
-
-    /// Vector of `n` uniform values in `[lo, hi)`.
-    pub fn uniform_vec(&mut self, n: usize, lo: f64, hi: f64) -> Vec<f64> {
-        (0..n).map(|_| self.uniform_in(lo, hi)).collect()
-    }
-
-    /// Vector of `n` N(0, std²) values.
-    pub fn gaussian_vec(&mut self, n: usize, std: f64) -> Vec<f64> {
-        (0..n).map(|_| self.gaussian() * std).collect()
     }
 
     /// Sample an index according to unnormalized non-negative weights.
@@ -443,30 +413,6 @@ mod tests {
                 "bucket {i} count {c} vs expected {expected}"
             );
         }
-    }
-
-    #[test]
-    fn binomial_mean_small_and_large_n() {
-        let mut rng = Rng::new(19);
-        for &(n, p) in &[(20usize, 0.3f64), (1000, 0.05)] {
-            let draws = 20_000;
-            let total: usize = (0..draws).map(|_| rng.binomial(n, p)).sum();
-            let mean = total as f64 / draws as f64;
-            let expected = n as f64 * p;
-            assert!(
-                (mean - expected).abs() < 0.05 * expected + 0.1,
-                "binomial({n},{p}) mean {mean} vs {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn binomial_edge_probabilities() {
-        let mut rng = Rng::new(23);
-        assert_eq!(rng.binomial(100, 0.0), 0);
-        assert_eq!(rng.binomial(100, 1.0), 100);
-        assert_eq!(rng.binomial(500, 0.0), 0);
-        assert_eq!(rng.binomial(500, 1.0), 500);
     }
 
     #[test]

@@ -71,33 +71,6 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Ok(x)
 }
 
-/// Cholesky factorization of a symmetric positive-definite matrix:
-/// returns lower-triangular `L` with `A = L L^T`.
-pub fn cholesky(a: &Matrix) -> Result<Matrix> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::NotSquare { shape: a.shape() });
-    }
-    let mut l = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a.get(i, j);
-            for k in 0..j {
-                sum -= l.get(i, k) * l.get(j, k);
-            }
-            if i == j {
-                if sum <= 0.0 {
-                    return Err(LinalgError::Singular);
-                }
-                l.set(i, j, sum.sqrt());
-            } else {
-                l.set(i, j, sum / l.get(j, j));
-            }
-        }
-    }
-    Ok(l)
-}
-
 /// Ordinary least squares: find `beta` minimizing `||X beta - y||²` via the
 /// normal equations with a small ridge (`lambda`) for conditioning.
 /// `X` is `n × p`, `y` has length `n`; returns `beta` of length `p`.
@@ -174,22 +147,6 @@ mod tests {
                 assert!((got - want).abs() < 1e-9, "trial {trial}");
             }
         }
-    }
-
-    #[test]
-    fn cholesky_reconstructs() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let l = cholesky(&a).unwrap();
-        let back = l.matmul_t(&l).unwrap();
-        for (x, y) in back.as_slice().iter().zip(a.as_slice()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        assert!(matches!(cholesky(&a), Err(LinalgError::Singular)));
     }
 
     #[test]

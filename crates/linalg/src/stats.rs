@@ -13,12 +13,6 @@ pub fn mean(xs: &[f64]) -> Result<f64> {
     Ok(xs.iter().sum::<f64>() / xs.len() as f64)
 }
 
-/// Population variance (divide by n).
-pub fn variance(xs: &[f64]) -> Result<f64> {
-    let m = mean(xs)?;
-    Ok(xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64)
-}
-
 /// Sample standard deviation (divide by n-1); 0 for a single point.
 pub fn sample_std(xs: &[f64]) -> Result<f64> {
     if xs.is_empty() {
@@ -90,24 +84,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64> {
         return Ok(0.0);
     }
     Ok(sxy / (sxx * syy).sqrt())
-}
-
-/// Linear-interpolated quantile, `q` in `[0, 1]`.
-pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
-    if xs.is_empty() {
-        return Err(LinalgError::Empty);
-    }
-    debug_assert!((0.0..=1.0).contains(&q));
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        return Ok(sorted[lo]);
-    }
-    let frac = pos - lo as f64;
-    Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
 /// Normalized autocorrelation function at the given lags. ACF(0) == 1.
@@ -197,24 +173,6 @@ impl Welford {
     pub fn sample_std(&self) -> f64 {
         self.sample_variance().sqrt()
     }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-    }
 }
 
 fn check_pair(a: &[f64], b: &[f64]) -> Result<()> {
@@ -240,14 +198,13 @@ mod tests {
     fn mean_variance_known() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs).unwrap() - 5.0).abs() < 1e-12);
-        assert!((variance(&xs).unwrap() - 4.0).abs() < 1e-12);
+        assert!((sample_std(&xs).unwrap() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs_error() {
         assert!(mean(&[]).is_err());
         assert!(rmse(&[], &[]).is_err());
-        assert!(quantile(&[], 0.5).is_err());
         assert!(autocorrelation(&[], 3).is_err());
     }
 
@@ -281,15 +238,6 @@ mod tests {
         let y_neg = [8.0, 6.0, 4.0, 2.0];
         assert!((pearson(&x, &y_pos).unwrap() - 1.0).abs() < 1e-12);
         assert!((pearson(&x, &y_neg).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_median_and_extremes() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert!((quantile(&xs, 0.5).unwrap() - 3.0).abs() < 1e-12);
-        assert!((quantile(&xs, 0.0).unwrap() - 1.0).abs() < 1e-12);
-        assert!((quantile(&xs, 1.0).unwrap() - 5.0).abs() < 1e-12);
-        assert!((quantile(&xs, 0.25).unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -337,43 +285,5 @@ mod tests {
         }
         assert!((w.mean() - mean(&xs).unwrap()).abs() < 1e-10);
         assert!((w.sample_std() - sample_std(&xs).unwrap()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let mut rng = Rng::new(109);
-        let xs: Vec<f64> = (0..1000).map(|_| rng.gaussian()).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let (a_half, b_half) = xs.split_at(317);
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in a_half {
-            a.push(x);
-        }
-        for &x in b_half {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.sample_variance() - all.sample_variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.clone();
-        a.merge(&Welford::new());
-        assert_eq!(a.count(), before.count());
-        assert!((a.mean() - before.mean()).abs() < 1e-15);
-        let mut empty = Welford::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - 2.0).abs() < 1e-15);
     }
 }

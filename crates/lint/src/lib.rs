@@ -47,7 +47,19 @@
 //!   rule applies to **binaries too** — drivers are exactly where
 //!   degradation must be handled, not panicked through.
 //!
-//! Any finding except L6/L7 can be suppressed for one line with a trailing
+//! * **L9 `dead-dep`** — every in-tree dependency a package declares
+//!   (normal or dev) must be named in its sources, tests, benches or
+//!   examples. An unused edge still orders the build and misleads a reader
+//!   of the crate graph.
+//! * **L10 `dead-pub`** — every `pub fn` / `pub const` / `pub static` in a
+//!   member's `src/` must be named somewhere else: in another workspace
+//!   `.rs` file (tests, benches, examples and binaries included), in the
+//!   benchmark under `perfbench/src` that builds against these crates, or
+//!   outside `cfg(test)` code in its own file. A function only its own unit
+//!   tests call is dead surface. Lint fixtures (a package's
+//!   `tests/fixtures` tree) count neither as definitions nor as uses.
+//!
+//! Any finding except L6/L7/L9 can be suppressed for one line with a trailing
 //! `// lint:allow(<rule>)` comment (a justification after a `:` is
 //! encouraged: `// lint:allow(no-panic): length checked above`). The report
 //! counts these escapes per rule, so a gate can pin their total.
@@ -56,6 +68,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+pub mod dead;
 pub mod manifest;
 pub mod rules;
 pub mod scanner;
@@ -63,7 +76,7 @@ pub mod workspace;
 
 pub use workspace::{check_workspace, Report};
 
-/// The eight workspace lint rules.
+/// The ten workspace lint rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// L1: only in-tree dependencies in any manifest.
@@ -85,11 +98,15 @@ pub enum Rule {
     /// L8: no `unwrap`/`expect` on `Result<_, LeError>` anywhere outside
     /// tests — binaries included; typed errors feed the degradation ladder.
     LeErrorUnwrap,
+    /// L9: every declared in-tree dependency is named in the package.
+    DeadDep,
+    /// L10: every public item in a member's `src/` has a caller elsewhere.
+    DeadPub,
 }
 
 impl Rule {
-    /// All rules, in L1..L8 order.
-    pub const ALL: [Rule; 8] = [
+    /// All rules, in L1..L10 order.
+    pub const ALL: [Rule; 10] = [
         Rule::Hermeticity,
         Rule::NoPanic,
         Rule::FloatHygiene,
@@ -98,6 +115,8 @@ impl Rule {
         Rule::WallClock,
         Rule::TraceHygiene,
         Rule::LeErrorUnwrap,
+        Rule::DeadDep,
+        Rule::DeadPub,
     ];
 
     /// The stable rule name used in diagnostics and `lint:allow(...)`.
@@ -111,6 +130,8 @@ impl Rule {
             Rule::WallClock => "wallclock",
             Rule::TraceHygiene => "trace-hygiene",
             Rule::LeErrorUnwrap => "le-error-unwrap",
+            Rule::DeadDep => "dead-dep",
+            Rule::DeadPub => "dead-pub",
         }
     }
 }
@@ -205,7 +226,9 @@ mod tests {
                 "lint-headers",
                 "wallclock",
                 "trace-hygiene",
-                "le-error-unwrap"
+                "le-error-unwrap",
+                "dead-dep",
+                "dead-pub"
             ]
         );
     }

@@ -11,8 +11,8 @@ use le_lint::check_workspace;
 const USAGE: &str = "usage: le-lint check [--root PATH] [--format text|json]
 
 Runs the workspace lint rules (hermeticity, no-panic, float-hygiene,
-determinism, lint-headers, wallclock, trace-hygiene, le-error-unwrap) over
-every crate and reports the `lint:allow` escapes per rule. Exits 0 when
+determinism, lint-headers, wallclock, trace-hygiene, le-error-unwrap,
+dead-dep, dead-pub) over every crate and reports the `lint:allow` escapes per rule. Exits 0 when
 clean, 1 when violations are found, 2 on usage or I/O errors.";
 
 fn main() -> ExitCode {

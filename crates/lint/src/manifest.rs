@@ -13,6 +13,9 @@ pub struct Dep {
     pub name: String,
     /// 1-based line number of the declaration.
     pub line: usize,
+    /// Declared under `[workspace.dependencies]`: a shared version entry,
+    /// not an edge of any package.
+    pub workspace: bool,
 }
 
 /// Extract the `[package] name = "…"` value, if any.
@@ -42,6 +45,7 @@ pub fn package_name(toml: &str) -> Option<String> {
 pub fn dependencies(toml: &str) -> Vec<Dep> {
     let mut out = Vec::new();
     let mut in_deps = false;
+    let mut workspace = false;
     for (idx, raw) in toml.lines().enumerate() {
         let line = strip_toml_comment(raw).trim().to_string();
         if line.is_empty() {
@@ -51,12 +55,14 @@ pub fn dependencies(toml: &str) -> Vec<Dep> {
             // `[dependencies]`, `[dev-dependencies]`, and dotted forms like
             // `[workspace.dependencies]` or `[dependencies.rand]`.
             let parts: Vec<&str> = section.split('.').collect();
+            workspace = parts.first() == Some(&"workspace");
             if let Some(pos) = parts.iter().position(|p| p.ends_with("dependencies")) {
                 if let Some(dep_name) = parts.get(pos + 1) {
                     // `[dependencies.rand]` names the dep in the header.
                     out.push(Dep {
                         name: (*dep_name).to_string(),
                         line: idx + 1,
+                        workspace,
                     });
                     in_deps = false;
                 } else {
@@ -72,6 +78,7 @@ pub fn dependencies(toml: &str) -> Vec<Dep> {
                 out.push(Dep {
                     name,
                     line: idx + 1,
+                    workspace,
                 });
             }
         }
@@ -174,8 +181,11 @@ bench = false
     #[test]
     fn workspace_dependencies_section_is_checked() {
         let toml = "[workspace.dependencies]\nrand = \"0.8\"\nle-core = { path = \"crates/core\" }";
-        let names: Vec<String> = dependencies(toml).into_iter().map(|d| d.name).collect();
+        let deps = dependencies(toml);
+        let names: Vec<&str> = deps.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, ["rand", "le-core"]);
+        assert!(deps.iter().all(|d| d.workspace));
+        assert!(dependencies(SAMPLE).iter().all(|d| !d.workspace));
     }
 
     #[test]

@@ -91,12 +91,11 @@ pub fn check_trace_hygiene(lines: &[Line]) -> Vec<(usize, String)> {
 /// unwrap. A line is flagged when one of these co-occurs with a panicking
 /// call — the typed error exists so the caller can degrade (retry,
 /// quarantine, serve simulator-only), not panic the campaign.
-const LE_ERROR_MARKERS: [&str; 6] = [
+const LE_ERROR_MARKERS: [&str; 5] = [
     ".query(",
     ".query_each(",
     ".seed_training(",
     ".retrain(",
-    ".calibrate_gate(",
     "LeError",
 ];
 
@@ -199,7 +198,7 @@ pub fn check_lint_headers(lines: &[Line]) -> Vec<(usize, String)> {
 
 /// Split code text into coarse tokens: identifiers/numbers, multi-char
 /// comparison operators, and single punctuation chars. Whitespace splits.
-fn tokenize(code: &str) -> Vec<String> {
+pub(crate) fn tokenize(code: &str) -> Vec<String> {
     let chars: Vec<char> = code.chars().collect();
     let mut out = Vec::new();
     let mut i = 0;
@@ -450,7 +449,6 @@ mod tests {
             "let rows = engine.query_each(&wave).unwrap();",
             "engine.seed_training(&xs, &ys).unwrap();",
             "engine.retrain().expect(\"fits\");",
-            "let t = engine.calibrate_gate(&vx, &vy, 0.1).unwrap();",
             "let v: Result<Vec<f64>, LeError> = sim(); v.unwrap();",
         ] {
             let hits = check_le_error_unwrap(&scan(snippet));

@@ -7,11 +7,11 @@ use std::path::{Path, PathBuf};
 
 use le_obs::json::escape;
 
-use crate::manifest;
-use crate::rules;
-use crate::scanner;
+use crate::scanner::{self, Line};
+use crate::{dead, manifest, rules};
 use crate::{
-    rel_to, Rule, Violation, SIM_KERNEL_CRATES, WALLCLOCK_AUTHORITY_CRATE, WALLCLOCK_EXEMPT_FILES,
+    is_in_tree_name, rel_to, Rule, Violation, SIM_KERNEL_CRATES, WALLCLOCK_AUTHORITY_CRATE,
+    WALLCLOCK_EXEMPT_FILES,
 };
 
 /// The outcome of a full workspace check.
@@ -107,17 +107,70 @@ struct Member {
     name: String,
     /// Path to the crate's `Cargo.toml`.
     manifest: PathBuf,
-    /// The crate's `src/` directory (may not exist for the root package).
-    src: PathBuf,
+    /// The package directory (the workspace root for the root package).
+    dir: PathBuf,
 }
 
-/// Run all eight rules over the workspace rooted at `root`.
+/// The per-package directories whose `.rs` files are code: the crate
+/// sources plus every other target. Only `src/` defines public surface.
+const PACKAGE_CODE_DIRS: [&str; 4] = ["src", "tests", "benches", "examples"];
+
+/// Code outside the workspace that builds against its crates by path (the
+/// end-to-end benchmark): its uses keep public items alive for L10.
+const EXTERNAL_CALLER_DIRS: [&str; 1] = ["perfbench/src"];
+
+/// One scanned `.rs` file of the corpus.
+struct SourceFile {
+    path: PathBuf,
+    /// Index of the owning member; `None` for external callers.
+    owner: Option<usize>,
+    /// True for files under the owner's `src/`.
+    in_src: bool,
+    lines: Vec<Line>,
+}
+
+/// A package's lint test data: fixture workspaces that are not compiled and
+/// neither define nor use anything.
+const FIXTURE_DIR: &str = "tests/fixtures";
+
+/// Scan every package's code directories and the external callers.
+fn load_corpus(root: &Path, members: &[Member]) -> io::Result<Vec<SourceFile>> {
+    let mut places = Vec::new();
+    for (m, member) in members.iter().enumerate() {
+        for sub in PACKAGE_CODE_DIRS {
+            places.push((member.dir.join(sub), Some(m), sub == "src"));
+        }
+    }
+    for dir in EXTERNAL_CALLER_DIRS {
+        places.push((root.join(dir), None, false));
+    }
+    let mut corpus = Vec::new();
+    for (dir, owner, in_src) in places {
+        let fixtures = owner.map(|m| members[m].dir.join(FIXTURE_DIR));
+        for path in rust_sources(&dir)? {
+            if fixtures.as_ref().is_some_and(|f| path.starts_with(f)) {
+                continue;
+            }
+            let lines = scanner::scan(&fs::read_to_string(&path)?);
+            corpus.push(SourceFile {
+                path,
+                owner,
+                in_src,
+                lines,
+            });
+        }
+    }
+    Ok(corpus)
+}
+
+/// Run all ten rules over the workspace rooted at `root`.
 pub fn check_workspace(root: &Path) -> io::Result<Report> {
     let members = locate_members(root)?;
     let names: BTreeSet<String> = members.iter().map(|m| m.name.clone()).collect();
+    let corpus = load_corpus(root, &members)?;
     let mut report = Report::default();
 
-    for member in &members {
+    for (m, member) in members.iter().enumerate() {
         // L1: hermetic manifests.
         let toml = fs::read_to_string(&member.manifest)?;
         report.manifests_scanned += 1;
@@ -134,98 +187,104 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
             });
         }
 
-        // L2–L7 over the crate's sources.
+        // L9: every in-tree edge is named somewhere in the package's code.
+        let edges: Vec<manifest::Dep> = manifest::dependencies(&toml)
+            .into_iter()
+            .filter(|d| !d.workspace && is_in_tree_name(&d.name, &names))
+            .collect();
+        let package: Vec<&[Line]> = corpus
+            .iter()
+            .filter(|f| f.owner == Some(m))
+            .map(|f| f.lines.as_slice())
+            .collect();
+        for dep in dead::unused_deps(&edges, &package) {
+            report.violations.push(Violation {
+                file: rel_to(&member.manifest, root),
+                line: dep.line,
+                rule: Rule::DeadDep,
+                message: format!(
+                    "dependency `{}` is never named in this package's sources, tests, \
+                     benches or examples — delete the edge",
+                    dep.name
+                ),
+            });
+        }
+
+        // L2–L8 over the crate's sources.
+        let src = member.dir.join("src");
         let is_sim = SIM_KERNEL_CRATES.contains(&member.name.as_str());
         let is_clock_authority = member.name == WALLCLOCK_AUTHORITY_CRATE;
-        let root_file = member.src.join("lib.rs");
-        for source in rust_sources(&member.src)? {
-            let src = fs::read_to_string(&source)?;
+        let root_file = src.join("lib.rs");
+        for source in corpus.iter().filter(|f| f.owner == Some(m) && f.in_src) {
+            let lines = &source.lines;
             report.files_scanned += 1;
-            let lines = scanner::scan(&src);
             // Only tags naming a rule (or `all`) escape anything; docs
             // that spell out the tag syntax do not count.
             let tags = lines.iter().flat_map(|l| &l.allows);
             for tag in tags.filter(|t| *t == "all" || Rule::ALL.iter().any(|r| r.name() == *t)) {
                 *report.allows.entry(tag.clone()).or_default() += 1;
             }
-            let file = rel_to(&source, root);
-            let exempt = is_bin_source(&member.src, &source);
+            let file = rel_to(&source.path, root);
+            let mut push = |rule: Rule, found: Vec<(usize, String)>| {
+                for (line, message) in found {
+                    report.violations.push(Violation {
+                        file: file.clone(),
+                        line,
+                        rule,
+                        message,
+                    });
+                }
+            };
 
-            if !exempt {
-                for (line, message) in rules::check_no_panic(&lines) {
-                    report.violations.push(Violation {
-                        file: file.clone(),
-                        line,
-                        rule: Rule::NoPanic,
-                        message,
-                    });
-                }
-                for (line, message) in rules::check_float_hygiene(&lines) {
-                    report.violations.push(Violation {
-                        file: file.clone(),
-                        line,
-                        rule: Rule::FloatHygiene,
-                        message,
-                    });
-                }
+            if !is_bin_source(&src, &source.path) {
+                push(Rule::NoPanic, rules::check_no_panic(lines));
+                push(Rule::FloatHygiene, rules::check_float_hygiene(lines));
                 if is_sim {
-                    for (line, message) in rules::check_determinism(&lines) {
-                        report.violations.push(Violation {
-                            file: file.clone(),
-                            line,
-                            rule: Rule::Determinism,
-                            message,
-                        });
-                    }
+                    push(Rule::Determinism, rules::check_determinism(lines));
                 }
-                if !is_clock_authority && !is_wallclock_exempt(&member.name, &member.src, &source)
-                {
-                    for (line, message) in rules::check_wallclock(&lines) {
-                        report.violations.push(Violation {
-                            file: file.clone(),
-                            line,
-                            rule: Rule::WallClock,
-                            message,
-                        });
-                    }
+                if !is_clock_authority && !is_wallclock_exempt(&member.name, &src, &source.path) {
+                    push(Rule::WallClock, rules::check_wallclock(lines));
                 }
                 // L7: `le-obs` is the trace authority too — only its own
                 // sources may touch the journal backends directly.
                 if !is_clock_authority {
-                    for (line, message) in rules::check_trace_hygiene(&lines) {
-                        report.violations.push(Violation {
-                            file: file.clone(),
-                            line,
-                            rule: Rule::TraceHygiene,
-                            message,
-                        });
-                    }
+                    push(Rule::TraceHygiene, rules::check_trace_hygiene(lines));
                 }
             }
 
             // L8 applies to binary targets too (unlike L2): drivers are
             // exactly where `Result<_, LeError>` must be handled, not
             // panicked through.
-            for (line, message) in rules::check_le_error_unwrap(&lines) {
-                report.violations.push(Violation {
-                    file: file.clone(),
-                    line,
-                    rule: Rule::LeErrorUnwrap,
-                    message,
-                });
-            }
+            push(Rule::LeErrorUnwrap, rules::check_le_error_unwrap(lines));
 
-            if source == root_file {
-                for (line, message) in rules::check_lint_headers(&lines) {
-                    report.violations.push(Violation {
-                        file: file.clone(),
-                        line,
-                        rule: Rule::LintHeaders,
-                        message,
-                    });
-                }
+            if source.path == root_file {
+                push(Rule::LintHeaders, rules::check_lint_headers(lines));
             }
         }
+    }
+
+    // L10: every public item of a member's `src/` is named somewhere else.
+    let files: Vec<&[Line]> = corpus.iter().map(|f| f.lines.as_slice()).collect();
+    let defs: Vec<Vec<(usize, String)>> = corpus
+        .iter()
+        .map(|f| {
+            if f.in_src {
+                dead::pub_items(&f.lines)
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+    for (f, line, name) in dead::dead_pub_items(&files, &defs) {
+        report.violations.push(Violation {
+            file: rel_to(&corpus[f].path, root),
+            line,
+            rule: Rule::DeadPub,
+            message: format!(
+                "`{name}` is public but named nowhere else in the workspace or its \
+                 benchmark (uses in its own `cfg(test)` code do not count) — delete it"
+            ),
+        });
     }
 
     report
@@ -252,7 +311,7 @@ fn locate_members(root: &Path) -> io::Result<Vec<Member>> {
     members.push(Member {
         name,
         manifest: root_manifest,
-        src: root.join("src"),
+        dir: root.to_path_buf(),
     });
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
@@ -276,20 +335,20 @@ fn locate_members(root: &Path) -> io::Result<Vec<Member>> {
             members.push(Member {
                 name,
                 manifest: manifest_path,
-                src: dir.join("src"),
+                dir,
             });
         }
     }
     Ok(members)
 }
 
-/// Recursively collect `.rs` files under `src/` (sorted for stable output).
-fn rust_sources(src: &Path) -> io::Result<Vec<PathBuf>> {
+/// Recursively collect `.rs` files under `dir` (sorted for stable output).
+fn rust_sources(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
-    if !src.is_dir() {
+    if !dir.is_dir() {
         return Ok(out);
     }
-    let mut stack = vec![src.to_path_buf()];
+    let mut stack = vec![dir.to_path_buf()];
     while let Some(dir) = stack.pop() {
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();

@@ -144,6 +144,41 @@ fn le_error_unwrap_fixture_flags_lib_and_bin() {
 }
 
 #[test]
+fn dead_dep_fixture_flags_unnamed_edges_only() {
+    let report = check_workspace(&fixture("dead_dep")).expect("scan");
+    let rules: Vec<Rule> = report.violations.iter().map(|v| v.rule).collect();
+    // `le-pool` (named only in a comment and a string) and the unused
+    // dev-dependency `le-nn`; not `le-linalg` (used in src), `le-obs`
+    // (used by a test) or the `[workspace.dependencies]` table.
+    assert_eq!(rules, [Rule::DeadDep, Rule::DeadDep], "{}", report.to_text());
+    assert!(report.violations[0].message.contains("`le-pool`"));
+    assert!(report.violations[1].message.contains("`le-nn`"));
+    assert!(report
+        .violations
+        .iter()
+        .all(|v| v.file.ends_with("crates/unit/Cargo.toml")));
+}
+
+#[test]
+fn dead_pub_fixture_flags_items_without_an_outside_use() {
+    let report = check_workspace(&fixture("dead_pub")).expect("scan");
+    let rules: Vec<Rule> = report.violations.iter().map(|v| v.rule).collect();
+    // Dead: a function in a `src/fixtures/` module (only `tests/fixtures`
+    // is skipped as data), a function only its own `#[cfg(test)]` module
+    // calls (the call from a nested lint fixture does not count) and a
+    // constant named only in docs and strings. Alive: uses from the binary,
+    // from another file's test, from the benchmark sources and from the
+    // defining file's non-test code; silent: the escaped item and
+    // `pub(crate)`.
+    assert_eq!(rules, [Rule::DeadPub; 3], "{}", report.to_text());
+    assert!(report.violations[0].message.contains("`in_src_fixtures`"));
+    assert!(report.violations[0].file.ends_with("src/fixtures/mod.rs"));
+    assert!(report.violations[1].message.contains("`only_own_tests`"));
+    assert!(report.violations[2].message.contains("`NAMED_ONLY_IN_DOCS`"));
+    assert_eq!(report.allows.get("dead-pub"), Some(&1));
+}
+
+#[test]
 fn real_workspace_is_clean() {
     let report = check_workspace(&workspace_root()).expect("workspace scans");
     assert!(
@@ -177,6 +212,8 @@ fn cli_exit_codes() {
         "wallclock",
         "trace_hygiene",
         "le_error_unwrap",
+        "dead_dep",
+        "dead_pub",
     ] {
         let out = Command::new(bin)
             .args(["check", "--root"])

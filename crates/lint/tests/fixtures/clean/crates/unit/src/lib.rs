@@ -3,12 +3,17 @@
 //! Fixture crate.
 
 /// Adds one.
-pub fn add_one(x: f64) -> f64 {
+fn add_one(x: f64) -> f64 {
     x + 1.0
 }
 
+/// Uses the in-tree dependency the manifest declares.
+fn identity(n: usize) -> le_linalg::Matrix {
+    le_linalg::Matrix::identity(n)
+}
+
 /// Checked head with a justified allow.
-pub fn head(v: &[f64]) -> f64 {
+fn head(v: &[f64]) -> f64 {
     if v.is_empty() {
         return 0.0;
     }

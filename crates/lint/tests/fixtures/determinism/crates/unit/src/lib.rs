@@ -3,7 +3,7 @@
 //! Fixture crate.
 
 /// Steps and times a fake kernel.
-pub fn step() -> f64 {
+fn step() -> f64 {
     let t = std::time::Instant::now();
     t.elapsed().as_secs_f64()
 }

@@ -6,7 +6,7 @@
 /// Computes a drift offset with an entropy-seeded jitter term — the exact
 /// regression the drift determinism audit must catch (it would make the
 /// drift-campaign digest differ between runs).
-pub fn offset_at(t: u64) -> f64 {
+fn offset_at(t: u64) -> f64 {
     let rng = StdRng::from_entropy();
     let _ = rng;
     t as f64 * 0.01

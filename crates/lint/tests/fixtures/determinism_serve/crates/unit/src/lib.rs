@@ -5,7 +5,7 @@
 
 /// Picks a wave size from ambient entropy — the exact regression the
 /// serving determinism audit must catch.
-pub fn wave_size() -> usize {
+fn wave_size() -> usize {
     let rng = StdRng::from_entropy();
     let _ = rng;
     8

@@ -3,6 +3,6 @@
 //! Fixture crate.
 
 /// Converged?
-pub fn converged(delta: f64) -> bool {
+fn converged(delta: f64) -> bool {
     delta == 0.0
 }

@@ -2,4 +2,4 @@
 #![warn(missing_docs)]
 //! Fixture crate.
 
-pub fn ok() {}
+fn ok() {}

@@ -4,17 +4,17 @@
 
 /// Swallows the engine's typed error — the L8 hit (the L2 allow keeps the
 /// rule isolation clean; L8 fires regardless).
-pub fn bad(engine: &mut Engine, x: &[f64]) -> f64 {
+fn bad(engine: &mut Engine, x: &[f64]) -> f64 {
     engine.query(x).unwrap().output[0] // lint:allow(no-panic): fixture isolates L8
 }
 
 /// Handled properly: no finding.
-pub fn good(engine: &mut Engine, x: &[f64]) -> Option<f64> {
+fn good(engine: &mut Engine, x: &[f64]) -> Option<f64> {
     engine.query(x).ok().map(|r| r.output[0])
 }
 
 /// Suppressed with the L8 escape: no finding.
-pub fn allowed(engine: &mut Engine, x: &[f64]) -> f64 {
+fn allowed(engine: &mut Engine, x: &[f64]) -> f64 {
     engine.query(x).unwrap().output[0] // lint:allow(le-error-unwrap, no-panic): input validated above
 }
 

@@ -1,3 +1,3 @@
 //! Fixture crate without headers.
 
-pub fn ok() {}
+fn ok() {}

@@ -3,6 +3,6 @@
 //! Fixture crate.
 
 /// Unchecked head.
-pub fn head(v: &[f64]) -> f64 {
+fn head(v: &[f64]) -> f64 {
     *v.first().unwrap()
 }

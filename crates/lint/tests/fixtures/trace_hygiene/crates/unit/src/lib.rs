@@ -5,14 +5,14 @@
 //! below must trip L7, and the `lint:allow` must NOT suppress it.
 
 /// Drives the journal raw — three L7 findings expected in this body.
-pub fn sneaky_trace(name_id: u32) {
+fn sneaky_trace(name_id: u32) {
     le_obs::trace::set_enabled(true); // lint:allow(trace-hygiene): no such escape exists
     let _guard = le_obs::trace::enter_span(name_id, true);
     le_obs::trace::mark(name_id);
 }
 
 /// The guard macros are the sanctioned surface; these must NOT fire.
-pub fn sanctioned_trace() {
+fn sanctioned_trace() {
     let _root = le_obs::trace_root!("fixture.root");
     let _span = le_obs::trace_span!("fixture.child");
     le_obs::trace_instant!("fixture.mark");

@@ -5,7 +5,7 @@
 //! and the `lint:allow` below must NOT suppress it.
 
 /// Times a fake phase without going through `le-obs`.
-pub fn phase_seconds() -> f64 {
+fn phase_seconds() -> f64 {
     let t = std::time::Instant::now(); // lint:allow(wallclock): no such escape exists
     t.elapsed().as_secs_f64()
 }

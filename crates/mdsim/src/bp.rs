@@ -282,23 +282,6 @@ impl BpPotential {
         back.as_slice().iter().sum()
     }
 
-    /// Per-atom predicted energies.
-    pub fn per_atom_energies(&self, pos: &[Vec3]) -> Vec<f64> {
-        if pos.is_empty() {
-            return Vec::new();
-        }
-        let feats = self.sf.describe_all(pos);
-        let xs = self.x_scaler.transform(&feats).expect("width fixed"); // lint:allow(no-panic): widths fixed at train time
-        let ys = self.net.predict(&xs).expect("width fixed"); // lint:allow(no-panic): widths fixed at train time
-        let back = self.y_scaler.inverse_transform(&ys).expect("width fixed"); // lint:allow(no-panic): widths fixed at train time
-        back.as_slice().to_vec()
-    }
-
-    /// The symmetry-function descriptor set.
-    pub fn symmetry_functions(&self) -> &SymmetryFunctions {
-        &self.sf
-    }
-
     /// Numerical forces from the NN potential (central differences).
     /// 6N energy evaluations — but each is an MLP pass, so driving
     /// dynamics with the NN stays orders of magnitude cheaper than one
@@ -318,50 +301,6 @@ impl BpPotential {
             }
         }
         forces
-    }
-
-    /// Relax a structure on the NN potential-energy surface by damped
-    /// gradient descent with backtracking. Returns the relaxed positions
-    /// and the NN energy trajectory.
-    pub fn relax(
-        &self,
-        pos: &[Vec3],
-        max_steps: usize,
-        initial_step: f64,
-    ) -> (Vec<Vec3>, Vec<f64>) {
-        let mut current = pos.to_vec();
-        let mut energy = self.energy(&current);
-        let mut history = vec![energy];
-        let mut step = initial_step;
-        for _ in 0..max_steps {
-            let forces = self.forces_numerical(&current, 1e-4);
-            let fmax = forces
-                .iter()
-                .flat_map(|f| f.iter())
-                .fold(0.0f64, |m, &v| m.max(v.abs()));
-            if fmax < 1e-4 {
-                break; // converged
-            }
-            // Trial move along the forces; backtrack if energy rises.
-            let trial: Vec<Vec3> = current
-                .iter()
-                .zip(forces.iter())
-                .map(|(r, f)| [r[0] + step * f[0], r[1] + step * f[1], r[2] + step * f[2]])
-                .collect();
-            let e_trial = self.energy(&trial);
-            if e_trial < energy {
-                current = trial;
-                energy = e_trial;
-                history.push(energy);
-                step = (step * 1.2).min(10.0 * initial_step);
-            } else {
-                step *= 0.5;
-                if step < 1e-8 {
-                    break;
-                }
-            }
-        }
-        (current, history)
     }
 }
 
@@ -493,21 +432,9 @@ mod tests {
     }
 
     #[test]
-    fn bp_energy_is_extensive_in_structure() {
-        // Per-atom energies sum to the total.
-        let (_, _, pot, _) = quick_training();
-        let mut rng = Rng::new(84);
-        let pos = random_cluster(7, 1.0, 1.3, &mut rng);
-        let total = pot.energy(&pos);
-        let per: f64 = pot.per_atom_energies(&pos).iter().sum();
-        assert!((total - per).abs() < 1e-9);
-    }
-
-    #[test]
     fn bp_empty_configuration() {
         let (_, _, pot, _) = quick_training();
         assert_eq!(pot.energy(&[]), 0.0);
-        assert!(pot.per_atom_energies(&[]).is_empty());
     }
 
     #[test]
@@ -535,27 +462,6 @@ mod tests {
                 "NN forces must descend the NN energy surface"
             );
         }
-    }
-
-    #[test]
-    fn bp_relaxation_lowers_reference_energy_too() {
-        // Relaxing on the NN surface should find structures the *reference*
-        // also considers better — the operational test of a useful learned
-        // PES.
-        let (_, reference, pot, _) = quick_training();
-        let mut rng = Rng::new(87);
-        let pos = random_cluster(6, 1.0, 1.6, &mut rng);
-        let e_ref_before = reference.energy(&pos).total;
-        let (relaxed, history) = pot.relax(&pos, 60, 0.01);
-        assert!(
-            history.last().unwrap() <= history.first().unwrap(),
-            "NN energy must not rise during relaxation: {history:?}"
-        );
-        let e_ref_after = reference.energy(&relaxed).total;
-        assert!(
-            e_ref_after < e_ref_before + 0.1,
-            "NN-relaxed structure should not be worse under the reference: {e_ref_before} -> {e_ref_after}"
-        );
     }
 
     #[test]

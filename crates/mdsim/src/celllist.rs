@@ -15,24 +15,6 @@
 
 use crate::system::{SlabBox, Vec3};
 
-/// Half-shell stencil: each cell interacts with itself and 13 forward
-/// neighbors, so every cell pair is visited exactly once.
-const HALF_STENCIL: [(i64, i64, i64); 13] = [
-    (1, 0, 0),
-    (-1, 1, 0),
-    (0, 1, 0),
-    (1, 1, 0),
-    (-1, -1, 1),
-    (0, -1, 1),
-    (1, -1, 1),
-    (-1, 0, 1),
-    (0, 0, 1),
-    (1, 0, 1),
-    (-1, 1, 1),
-    (0, 1, 1),
-    (1, 1, 1),
-];
-
 /// Cell decomposition of a [`SlabBox`].
 #[derive(Debug, Clone)]
 pub struct CellList {
@@ -123,12 +105,6 @@ impl CellList {
         out.extend(self.items.iter().map(|&i| pos[i]));
     }
 
-    /// Occupants of cell `c` as a contiguous slice.
-    #[inline]
-    fn cell(&self, c: usize) -> &[usize] {
-        &self.items[self.starts[c]..self.starts[c + 1]]
-    }
-
     /// With fewer than 3 cells along an axis the half stencil would alias
     /// cells; such grids use the O(N²) fallback.
     #[inline]
@@ -158,57 +134,6 @@ impl CellList {
         [dx, dy, ri[2] - rj[2]]
     }
 
-    /// Visit each interacting cell pair whose **origin** cell lies in row
-    /// `row` (a fixed `(iy, iz)` line of `nx` cells). `f(c, c2)` gets the
-    /// origin cell index and a neighbor cell index; `c == c2` marks the
-    /// intra-cell case. Empty cells are skipped.
-    fn visit_row_cells(&self, row: usize, f: &mut impl FnMut(usize, usize)) {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let iz = row / ny;
-        let iy = row % ny;
-        // Only the x offset varies along the row: resolve each stencil
-        // entry's wrapped (jy, jz) to a row base once up front. Offsets are
-        // ±1 and the grid is ≥3 cells per axis here, so a single
-        // compare-and-shift wraps exactly like `rem_euclid` — without the
-        // two integer divisions per stencil entry per cell.
-        let mut bases = [(0usize, 0i64); HALF_STENCIL.len()];
-        let mut n_bases = 0;
-        for &(dx, dy, dz) in &HALF_STENCIL {
-            let jz = iz as i64 + dz;
-            if jz < 0 || jz >= nz as i64 {
-                continue; // walls: no z wrap
-            }
-            let mut jy = iy as i64 + dy;
-            if jy < 0 {
-                jy += ny as i64;
-            } else if jy >= ny as i64 {
-                jy -= ny as i64;
-            }
-            bases[n_bases] = ((jz as usize * ny + jy as usize) * nx, dx);
-            n_bases += 1;
-        }
-        let row_base = (iz * ny + iy) * nx;
-        for ix in 0..nx {
-            let c = row_base + ix;
-            if self.starts[c] == self.starts[c + 1] {
-                continue;
-            }
-            f(c, c);
-            for &(base2, dx) in &bases[..n_bases] {
-                let mut jx = ix as i64 + dx;
-                if jx < 0 {
-                    jx += nx as i64;
-                } else if jx >= nx as i64 {
-                    jx -= nx as i64;
-                }
-                let c2 = base2 + jx as usize;
-                if self.starts[c2] != self.starts[c2 + 1] {
-                    f(c, c2);
-                }
-            }
-        }
-    }
-
     /// Number of independent pair-visit tasks. On the stencil path each
     /// task is one `(iy, iz)` cell row (every unordered pair belongs to
     /// exactly one origin row); small grids use strided slices of the
@@ -232,30 +157,12 @@ impl CellList {
     /// `task` (see [`CellList::n_pair_tasks`]), passing the minimum-image
     /// displacement `pos[i] - pos[j]` and its squared norm. Tasks
     /// partition the pairs: over all tasks each unordered pair is visited
-    /// exactly once.
+    /// exactly once. `gathered` is the cell-ordered position snapshot (see
+    /// [`CellList::gather`]) that the stencil inner loops stream
+    /// contiguously instead of indirecting through the item indices per
+    /// candidate pair; `pos` is consulted only on the small-grid fallback
+    /// (which ignores cells and takes an empty snapshot).
     pub fn for_each_pair_dist_in_task(
-        &self,
-        task: usize,
-        pos: &[Vec3],
-        mut f: impl FnMut(usize, usize, Vec3, f64),
-    ) {
-        if self.small() {
-            self.small_pairs_dist(task, pos, &mut f);
-        } else {
-            let mut gathered = Vec::new();
-            self.gather(pos, &mut gathered);
-            self.stencil_pairs_dist(task, &gathered, &mut f);
-        }
-    }
-
-    /// [`CellList::for_each_pair_dist_in_task`] with a pre-gathered
-    /// cell-ordered position snapshot (see [`CellList::gather`]): the
-    /// stencil inner loops stream `gathered` contiguously instead of
-    /// indirecting through the item indices per candidate pair. `pos` is
-    /// still consulted on the small-grid fallback (which ignores cells).
-    /// Emits exactly the same pairs, displacements, and call order as the
-    /// plain variant, bit for bit.
-    pub fn for_each_pair_dist_in_task_cached(
         &self,
         task: usize,
         pos: &[Vec3],
@@ -304,7 +211,9 @@ impl CellList {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let iz = task / ny;
         let iy = task % ny;
-        // The half stencil groups into the +x cell of the origin row plus
+        // The half stencil (the cell itself plus 13 forward neighbors, so
+        // every cell pair is visited once) groups into the +x cell of the
+        // origin row plus
         // four neighbor x-rows (y+1 on this plane; y-1, y, y+1 on the z+1
         // plane). Within each neighbor row the dx = -1, 0, 1 cells are
         // consecutive, so away from the x boundary they form ONE contiguous
@@ -408,40 +317,7 @@ impl CellList {
             self.gather(pos, &mut gathered);
         }
         for task in 0..self.n_pair_tasks() {
-            self.for_each_pair_dist_in_task_cached(task, pos, &gathered, &mut f);
-        }
-    }
-
-    /// Visit every unordered particle pair within neighboring cells.
-    /// `f(i, j)` is called exactly once per pair with `i < j` not guaranteed
-    /// — but each unordered pair is visited exactly once.
-    pub fn for_each_pair(&self, mut f: impl FnMut(usize, usize)) {
-        if self.small() {
-            let n = self.items.len();
-            for i in 0..n {
-                for j in i + 1..n {
-                    f(i, j);
-                }
-            }
-            return;
-        }
-        for row in 0..self.ny * self.nz {
-            self.visit_row_cells(row, &mut |c, c2| {
-                let a = self.cell(c);
-                if c == c2 {
-                    for (p, &i) in a.iter().enumerate() {
-                        for &j in &a[p + 1..] {
-                            f(i, j);
-                        }
-                    }
-                } else {
-                    for &i in a {
-                        for &j in self.cell(c2) {
-                            f(i, j);
-                        }
-                    }
-                }
-            });
+            self.for_each_pair_dist_in_task(task, pos, &gathered, &mut f);
         }
     }
 }
@@ -483,10 +359,9 @@ mod tests {
         let cl = CellList::build(bbox, cutoff, pos);
         let mut within = HashSet::new();
         let mut visited = 0usize;
-        cl.for_each_pair(|i, j| {
+        cl.for_each_pair_dist(pos, |i, j, _, r2| {
             visited += 1;
-            let d = bbox.min_image(&pos[i], &pos[j]);
-            if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= cutoff * cutoff {
+            if r2 <= cutoff * cutoff {
                 within.insert((i.min(j), i.max(j)));
             }
         });
@@ -520,7 +395,7 @@ mod tests {
         let pos = random_positions(200, &bbox, 13);
         let cl = CellList::build(bbox, 2.0, &pos);
         let mut seen = HashSet::new();
-        cl.for_each_pair(|i, j| {
+        cl.for_each_pair_dist(&pos, |i, j, _, _| {
             assert_ne!(i, j, "self pair");
             let key = (i.min(j), i.max(j));
             assert!(seen.insert(key), "pair {key:?} visited twice");
@@ -545,53 +420,44 @@ mod tests {
         let bbox = SlabBox::new(5.0, 5.0, 5.0).unwrap();
         let cl = CellList::build(bbox, 1.0, &[]);
         let mut count = 0;
-        cl.for_each_pair(|_, _| count += 1);
+        cl.for_each_pair_dist(&[], |_, _, _, _| count += 1);
         assert_eq!(count, 0);
-        let cl1 = CellList::build(bbox, 1.0, &[[1.0, 1.0, 1.0]]);
-        cl1.for_each_pair(|_, _| count += 1);
+        let one = [[1.0, 1.0, 1.0]];
+        let cl1 = CellList::build(bbox, 1.0, &one);
+        cl1.for_each_pair_dist(&one, |_, _, _, _| count += 1);
         assert_eq!(count, 0);
     }
 
     #[test]
-    fn dist_walk_matches_min_image_and_partitions_pairs() {
+    fn task_walk_matches_min_image_and_brute_force() {
         for (dims, n, seed) in [((12.0, 12.0, 9.0), 250, 51u64), ((3.0, 3.0, 2.0), 70, 52)] {
             let bbox = SlabBox::new(dims.0, dims.1, dims.2).unwrap();
             let pos = random_positions(n, &bbox, seed);
-            let cl = CellList::build(bbox, 1.5, &pos);
-            // Union over tasks == for_each_pair's pair set, each pair once,
-            // and the inline displacement equals SlabBox::min_image.
+            let cutoff = 1.5;
+            let cl = CellList::build(bbox, cutoff, &pos);
+            let mut gathered = Vec::new();
+            cl.gather(&pos, &mut gathered);
+            // Over all tasks each pair comes once, the inline displacement
+            // equals SlabBox::min_image, and the pairs within the cutoff
+            // are exactly the brute-force set.
             let mut seen = HashSet::new();
+            let mut within = HashSet::new();
             for task in 0..cl.n_pair_tasks() {
-                cl.for_each_pair_dist_in_task(task, &pos, |i, j, d, r2| {
-                    assert!(seen.insert((i.min(j), i.max(j))), "pair revisited");
+                cl.for_each_pair_dist_in_task(task, &pos, &gathered, |i, j, d, r2| {
+                    let key = (i.min(j), i.max(j));
+                    assert!(seen.insert(key), "pair revisited");
                     let m = bbox.min_image(&pos[i], &pos[j]);
                     for k in 0..3 {
                         assert!((d[k] - m[k]).abs() < 1e-12, "disp axis {k}");
                     }
                     let m2 = m[0] * m[0] + m[1] * m[1] + m[2] * m[2];
                     assert!((r2 - m2).abs() < 1e-12);
+                    if m2 <= cutoff * cutoff {
+                        within.insert(key);
+                    }
                 });
             }
-            let mut plain = HashSet::new();
-            cl.for_each_pair(|i, j| {
-                plain.insert((i.min(j), i.max(j)));
-            });
-            assert_eq!(seen, plain);
-            // The gathered-snapshot variant must replay the plain variant
-            // exactly: same pairs, same order, bitwise-equal displacements.
-            let mut gathered = Vec::new();
-            cl.gather(&pos, &mut gathered);
-            for task in 0..cl.n_pair_tasks() {
-                let mut a: Vec<(usize, usize, [u64; 3], u64)> = Vec::new();
-                cl.for_each_pair_dist_in_task(task, &pos, |i, j, d, r2| {
-                    a.push((i, j, d.map(f64::to_bits), r2.to_bits()));
-                });
-                let mut b = Vec::new();
-                cl.for_each_pair_dist_in_task_cached(task, &pos, &gathered, |i, j, d, r2| {
-                    b.push((i, j, d.map(f64::to_bits), r2.to_bits()));
-                });
-                assert_eq!(a, b, "cached variant diverged on task {task}");
-            }
+            assert_eq!(within, brute_pairs(&bbox, cutoff, &pos));
         }
     }
 
@@ -605,7 +471,7 @@ mod tests {
         let (nx, ny, nz) = cl.shape();
         assert_eq!((nx, ny, nz), (5, 5, 5));
         let mut found_wrap_pair = false;
-        cl.for_each_pair(|i, j| {
+        cl.for_each_pair_dist(&pos, |i, j, _, _| {
             if (i.min(j), i.max(j)) == (0, 1) {
                 found_wrap_pair = true;
             }

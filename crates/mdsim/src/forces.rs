@@ -159,9 +159,12 @@ struct GroupBuf {
 }
 
 /// Reusable scratch for [`compute_forces_with`]: per-group force buffers
-/// that persist across steps, so the force loop allocates nothing after
-/// the first call. One scratch per trajectory; do not share across
-/// concurrently integrated systems.
+/// and the gathered position snapshot persist across steps, so after the
+/// first call the buffers are never reallocated. A call still allocates
+/// once: `le_pool::par_for_chunks` builds a slot `Vec` per call to hand
+/// the group buffers to its tasks (ROADMAP item 3 tracks removing it). One
+/// scratch per trajectory; do not share across concurrently integrated
+/// systems.
 #[derive(Debug, Default)]
 pub struct ForceScratch {
     groups: Vec<GroupBuf>,
@@ -204,7 +207,8 @@ fn n_force_groups(n_tasks: usize, n: usize) -> usize {
 /// Compute all forces into `sys.force` and return total potential energy.
 /// Uses the provided cell list (built at the current positions) and
 /// `scratch` for per-group accumulation buffers that are reused across
-/// calls (no per-step allocation).
+/// calls; the only per-call allocation is `le_pool::par_for_chunks`'s slot
+/// `Vec` (see [`ForceScratch`]).
 ///
 /// Pair tasks (cell rows) are grouped into [`n_force_groups`] contiguous
 /// ranges; each group accumulates ±f into its own buffer on whichever pool
@@ -235,7 +239,7 @@ pub fn compute_forces_with(
             let lo = g * tasks_per_group;
             let hi = (lo + tasks_per_group).min(n_tasks);
             for task in lo..hi {
-                cells.for_each_pair_dist_in_task_cached(task, pos, gathered, |i, j, d, r2| {
+                cells.for_each_pair_dist_in_task(task, pos, gathered, |i, j, d, r2| {
                     let sigma = 0.5 * (diameter[i] + diameter[j]);
                     let max_cut = ff.max_cutoff(sigma);
                     if r2 > max_cut * max_cut {
@@ -277,13 +281,6 @@ pub fn compute_forces_with(
         sys.force[i][2] += fz;
     }
     potential
-}
-
-/// [`compute_forces_with`] with a throwaway scratch — convenience for
-/// one-shot evaluations; step loops should hold a [`ForceScratch`] to
-/// avoid the per-call allocation.
-pub fn compute_forces(sys: &mut System, ff: &ForceField, cells: &CellList) -> f64 {
-    compute_forces_with(sys, ff, cells, &mut ForceScratch::new())
 }
 
 #[cfg(test)]
@@ -467,7 +464,7 @@ mod tests {
             ..Default::default()
         };
         let cells = CellList::build(bbox, ff.max_cutoff(0.3), &sys.pos);
-        compute_forces(&mut sys, &ff, &cells);
+        compute_forces_with(&mut sys, &ff, &cells, &mut ForceScratch::new());
         let mut total = [0.0f64; 3];
         for f in &sys.force {
             for k in 0..3 {
@@ -586,7 +583,7 @@ mod tests {
             ..Default::default()
         };
         let cells = CellList::build(bbox, ff.max_cutoff(0.3), &sys.pos);
-        let e = compute_forces(&mut sys, &ff, &cells);
+        let e = compute_forces_with(&mut sys, &ff, &cells, &mut ForceScratch::new());
         assert!(e.is_finite());
         assert!(sys.force.iter().all(|f| f.iter().all(|x| x.is_finite())));
     }

@@ -54,17 +54,6 @@ pub struct Trajectory {
     pub temperature: Vec<f64>,
 }
 
-impl Trajectory {
-    /// Total energy series (potential + kinetic).
-    pub fn total_energy(&self) -> Vec<f64> {
-        self.potential
-            .iter()
-            .zip(self.kinetic.iter())
-            .map(|(&p, &k)| p + k)
-            .collect()
-    }
-}
-
 /// Advance `sys` by `n_steps`, sampling energies every `sample_interval`
 /// steps and invoking `on_sample(step, &sys)` at each sample point (the
 /// density profiler hooks in here). Returns the recorded trajectory.
@@ -262,7 +251,12 @@ mod tests {
             ..Default::default()
         };
         let traj = run(&mut sys, &ff, &nve, 2000, 10, &mut rng, |_, _| {}).unwrap();
-        let e = traj.total_energy();
+        let e: Vec<f64> = traj
+            .potential
+            .iter()
+            .zip(&traj.kinetic)
+            .map(|(p, k)| p + k)
+            .collect();
         let e0 = e[1]; // skip the very first sample
         let max_drift = e
             .iter()

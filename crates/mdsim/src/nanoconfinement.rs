@@ -103,34 +103,6 @@ impl NanoParams {
             d: rng.uniform_in(Self::D_RANGE.0, Self::D_RANGE.1),
         }
     }
-
-    /// Deterministic full-factorial grid over the parameter ranges with the
-    /// given number of levels per continuous axis. Grid size is
-    /// `levels³ × 3 × 2` (three h/c/d axes, 3 z_p values, 2 z_n values) —
-    /// `levels = 11` approximates the companion study's 6864-run sweep.
-    pub fn grid(levels: usize) -> Vec<Self> {
-        assert!(levels >= 2);
-        let lin = |lo: f64, hi: f64, i: usize| lo + (hi - lo) * i as f64 / (levels - 1) as f64;
-        let mut out = Vec::with_capacity(levels * levels * levels * 6);
-        for ih in 0..levels {
-            for zp in 1..=3u32 {
-                for zn in 1..=2u32 {
-                    for ic in 0..levels {
-                        for id in 0..levels {
-                            out.push(Self {
-                                h: lin(Self::H_RANGE.0, Self::H_RANGE.1, ih),
-                                z_p: zp,
-                                z_n: zn,
-                                c: lin(Self::C_RANGE.0, Self::C_RANGE.1, ic),
-                                d: lin(Self::D_RANGE.0, Self::D_RANGE.1, id),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Simulation fidelity knobs.
@@ -203,16 +175,6 @@ impl DensityOutputs {
     /// Flatten to the 3-vector the surrogate predicts.
     pub fn to_vec(&self) -> Vec<f64> {
         vec![self.contact, self.mid, self.peak]
-    }
-
-    /// Rebuild from a model output vector.
-    pub fn from_slice(v: &[f64]) -> Self {
-        assert!(v.len() >= 3);
-        Self {
-            contact: v[0],
-            mid: v[1],
-            peak: v[2],
-        }
     }
 }
 
@@ -397,16 +359,6 @@ mod tests {
         let back = NanoParams::from_features(&f).unwrap();
         assert_eq!(back, p);
         assert!(NanoParams::from_features(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn grid_size_and_validity() {
-        let grid = NanoParams::grid(3);
-        assert_eq!(grid.len(), 3 * 3 * 3 * 3 * 2);
-        assert!(grid.iter().all(|p| p.validate().is_ok()));
-        // levels=11 approximates the companion study's 6864-run sweep:
-        // 11³·6 = 7986.
-        assert_eq!(NanoParams::grid(11).len(), 7986);
     }
 
     #[test]

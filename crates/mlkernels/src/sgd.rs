@@ -55,19 +55,6 @@ pub fn objective(x: &[Vec<f64>], y: &[f64], w: &[f64], l2: f64) -> f64 {
     loss / n + 0.5 * l2 * w.iter().map(|v| v * v).sum::<f64>()
 }
 
-/// Classification accuracy of `w`.
-pub fn accuracy(x: &[Vec<f64>], y: &[f64], w: &[f64]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    let correct = x
-        .iter()
-        .zip(y.iter())
-        .filter(|(xi, &yi)| dot(w, xi) * yi > 0.0)
-        .count();
-    correct as f64 / x.len() as f64
-}
-
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(&p, &q)| p * q).sum()
@@ -392,7 +379,8 @@ mod tests {
                 },
             )
             .unwrap();
-            let acc = accuracy(&x, &y, &w);
+            let correct = x.iter().zip(&y).filter(|(xi, &yi)| dot(&w, xi) * yi > 0.0).count();
+            let acc = correct as f64 / x.len() as f64;
             assert!(
                 acc > 0.93,
                 "{} accuracy {acc} too low",

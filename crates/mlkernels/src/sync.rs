@@ -142,12 +142,6 @@ impl KernelReport {
     pub fn final_objective(&self) -> f64 {
         self.objective.last().copied().unwrap_or(f64::INFINITY)
     }
-
-    /// Epochs until the objective first drops below `threshold`
-    /// (`None` if never).
-    pub fn epochs_to_reach(&self, threshold: f64) -> Option<usize> {
-        self.objective.iter().position(|&o| o < threshold)
-    }
 }
 
 /// Split `n` items into `parts` contiguous ranges of near-equal size.
@@ -240,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn report_helpers() {
+    fn final_objective_is_the_last_epoch() {
         let r = KernelReport {
             model: SyncModel::Locking,
             threads: 2,
@@ -248,7 +242,5 @@ mod tests {
             seconds: 1.0,
         };
         assert_eq!(r.final_objective(), 0.5);
-        assert_eq!(r.epochs_to_reach(2.0), Some(2));
-        assert_eq!(r.epochs_to_reach(0.1), None);
     }
 }

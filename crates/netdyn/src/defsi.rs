@@ -357,43 +357,6 @@ impl TwoBranchNet {
         }
         Ok(out)
     }
-
-    /// State-level forecast: sum of county forecasts (DEFSI's consistency
-    /// property — high-resolution forecasts aggregate to the coarse level).
-    pub fn forecast_state(&self, observed_state: &[f64], total_weeks: usize) -> Result<f64> {
-        Ok(self.forecast_counties(observed_state, total_weeks)?.iter().sum())
-    }
-
-    /// Autoregressive multi-horizon forecast: `out[h][c]` is county `c`,
-    /// `h+1` weeks ahead. Each step's predicted state total is degraded by
-    /// `reporting_fraction` (the scale of the observed series) and appended
-    /// to the window, exactly as it would arrive from surveillance.
-    pub fn forecast_counties_multi(
-        &self,
-        observed_state: &[f64],
-        total_weeks: usize,
-        horizon: usize,
-        reporting_fraction: f64,
-    ) -> Result<Vec<Vec<f64>>> {
-        if horizon == 0 {
-            return Err(NetError::InvalidConfig("horizon must be ≥ 1".into()));
-        }
-        if !(0.0..=1.0).contains(&reporting_fraction) || le_linalg::approx::approx_eq(reporting_fraction, 0.0) {
-            return Err(NetError::InvalidConfig(format!(
-                "reporting fraction {reporting_fraction} must be in (0, 1]"
-            )));
-        }
-        let mut window = observed_state.to_vec();
-        let mut out = Vec::with_capacity(horizon);
-        for _ in 0..horizon {
-            let counties = self.forecast_counties(&window, total_weeks)?;
-            let state_true: f64 = counties.iter().sum();
-            // What surveillance would report for the predicted week.
-            window.push(state_true * reporting_fraction);
-            out.push(counties);
-        }
-        Ok(out)
-    }
 }
 
 /// Forecast-quality summary at both resolutions.
@@ -581,8 +544,6 @@ mod tests {
         let pred = net.forecast_counties(&obs[..6], 12).unwrap();
         assert_eq!(pred.len(), 4);
         assert!(pred.iter().all(|&v| v >= 0.0 && v.is_finite()));
-        let state = net.forecast_state(&obs[..6], 12).unwrap();
-        assert!((state - pred.iter().sum::<f64>()).abs() < 1e-9);
     }
 
     #[test]
@@ -609,47 +570,6 @@ mod tests {
         )
         .unwrap();
         assert!(net.forecast_counties(&[1.0, 2.0], 12).is_err());
-    }
-
-    #[test]
-    fn multi_horizon_forecast_shapes_and_validation() {
-        let pop = test_pop();
-        let seasons = generate_synthetic_seasons(
-            &pop,
-            &base_cfg(),
-            &Surveillance::default(),
-            0.08,
-            0.01,
-            10,
-            222,
-        )
-        .unwrap();
-        let net = TwoBranchNet::train(
-            &seasons,
-            4,
-            &DefsiTrainConfig {
-                epochs: 30,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let obs = &seasons[0].observed_state;
-        let multi = net
-            .forecast_counties_multi(&obs[..6], 12, 3, 0.3)
-            .unwrap();
-        assert_eq!(multi.len(), 3, "one row per horizon");
-        assert!(multi.iter().all(|row| row.len() == 4));
-        assert!(multi
-            .iter()
-            .flatten()
-            .all(|&v| v.is_finite() && v >= 0.0));
-        // Horizon 1 matches the single-step API.
-        let single = net.forecast_counties(&obs[..6], 12).unwrap();
-        assert_eq!(multi[0], single);
-        // Validation.
-        assert!(net.forecast_counties_multi(&obs[..6], 12, 0, 0.3).is_err());
-        assert!(net.forecast_counties_multi(&obs[..6], 12, 2, 0.0).is_err());
-        assert!(net.forecast_counties_multi(&obs[..6], 12, 2, 1.5).is_err());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! "interventionist" mechanistic baseline DEFSI is compared against in
 //! paper ref \[19\].
 
-use le_linalg::Rng;
 use le_pool as pool;
 
 use crate::population::Population;
@@ -139,13 +138,6 @@ pub fn hidden_truth_season(
     crate::seir::simulate(pop, &cfg, seed)
 }
 
-/// Convenience: the random seed stream used by season generation — split a
-/// master seed into per-season seeds.
-pub fn season_seeds(master: u64, n: usize) -> Vec<u64> {
-    let mut rng = Rng::new(master);
-    (0..n).map(|_| rng.next_u64()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,16 +213,5 @@ mod tests {
             let s: f64 = county.iter().map(|c| c[h]).sum();
             assert!((s - state[h]).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn season_seeds_deterministic_and_distinct() {
-        let a = season_seeds(5, 10);
-        let b = season_seeds(5, 10);
-        assert_eq!(a, b);
-        let mut dedup = a.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 10);
     }
 }

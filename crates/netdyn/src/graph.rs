@@ -62,12 +62,6 @@ impl Graph {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Degree of node `v`.
-    #[inline]
-    pub fn degree(&self, v: usize) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
-    }
-
     /// Mean degree.
     pub fn mean_degree(&self) -> f64 {
         if self.n_nodes() == 0 {
@@ -100,54 +94,6 @@ impl Graph {
             }
         }
         Self::from_edges(n, &edges)
-    }
-
-    /// Watts–Strogatz small-world: ring lattice with `k` nearest neighbors
-    /// per side, each edge rewired with probability `beta`.
-    pub fn watts_strogatz(n: usize, k: usize, beta: f64, rng: &mut Rng) -> Self {
-        assert!(k >= 1 && 2 * k < n, "need 1 <= k and 2k < n");
-        let mut edges = Vec::with_capacity(n * k);
-        for i in 0..n {
-            for d in 1..=k {
-                let j = (i + d) % n;
-                if rng.bernoulli(beta) {
-                    // Rewire to a uniform random non-self target.
-                    let mut t = rng.below(n);
-                    while t == i {
-                        t = rng.below(n);
-                    }
-                    edges.push((i as u32, t as u32));
-                } else {
-                    edges.push((i as u32, j as u32));
-                }
-            }
-        }
-        Self::from_edges(n, &edges)
-    }
-
-    /// Count of connected components (BFS).
-    pub fn n_components(&self) -> usize {
-        let n = self.n_nodes();
-        let mut seen = vec![false; n];
-        let mut components = 0;
-        let mut queue = std::collections::VecDeque::new();
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            components += 1;
-            seen[start] = true;
-            queue.push_back(start);
-            while let Some(v) = queue.pop_front() {
-                for &w in self.neighbors(v) {
-                    if !seen[w as usize] {
-                        seen[w as usize] = true;
-                        queue.push_back(w as usize);
-                    }
-                }
-            }
-        }
-        components
     }
 }
 
@@ -182,7 +128,7 @@ mod tests {
         assert_eq!(g.n_edges(), 2);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0]);
-        assert_eq!(g.degree(2), 1);
+        assert_eq!(g.neighbors(2), &[3]);
     }
 
     #[test]
@@ -234,43 +180,11 @@ mod tests {
     }
 
     #[test]
-    fn watts_strogatz_degree_preserved_at_beta_zero() {
-        let mut rng = Rng::new(4);
-        let g = Graph::watts_strogatz(60, 3, 0.0, &mut rng);
-        // Pure ring lattice: every node has degree 2k.
-        for v in 0..60 {
-            assert_eq!(g.degree(v), 6);
-        }
-        assert_eq!(g.n_components(), 1);
-    }
-
-    #[test]
-    fn watts_strogatz_rewiring_keeps_edge_budget_close() {
-        let mut rng = Rng::new(5);
-        let g = Graph::watts_strogatz(200, 2, 0.3, &mut rng);
-        // Rewiring can collide with existing edges (dedup), so the count is
-        // bounded above by nk and not far below.
-        assert!(g.n_edges() <= 400);
-        assert!(g.n_edges() > 380, "few collisions expected, got {}", g.n_edges());
-    }
-
-    #[test]
     fn empty_graph() {
         let g = Graph::from_edges(0, &[]);
         assert_eq!(g.n_nodes(), 0);
         assert_eq!(g.n_edges(), 0);
         assert_eq!(g.mean_degree(), 0.0);
-        assert_eq!(g.n_components(), 0);
-    }
-
-    #[test]
-    fn components_counted() {
-        // Two triangles, one isolated node.
-        let g = Graph::from_edges(
-            7,
-            &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
-        );
-        assert_eq!(g.n_components(), 3);
     }
 
     #[test]

@@ -122,27 +122,6 @@ impl Population {
     pub fn county_size(&self, c: usize) -> usize {
         self.county.iter().filter(|&&x| x as usize == c).count()
     }
-
-    /// Fraction of edges that stay within a county.
-    pub fn within_county_edge_fraction(&self) -> f64 {
-        let mut within = 0usize;
-        let mut total = 0usize;
-        for v in 0..self.contacts.n_nodes() {
-            for &w in self.contacts.neighbors(v) {
-                if (w as usize) > v {
-                    total += 1;
-                    if self.county[v] == self.county[w as usize] {
-                        within += 1;
-                    }
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            within as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -195,6 +174,21 @@ mod tests {
         );
     }
 
+    /// Fraction of edges that stay within a county.
+    fn within_county_edge_fraction(pop: &Population) -> f64 {
+        let mut within = 0usize;
+        let mut total = 0usize;
+        for v in 0..pop.contacts.n_nodes() {
+            for &w in pop.contacts.neighbors(v) {
+                if (w as usize) > v {
+                    total += 1;
+                    within += usize::from(pop.county[v] == pop.county[w as usize]);
+                }
+            }
+        }
+        within as f64 / total as f64
+    }
+
     #[test]
     fn most_edges_stay_within_county() {
         let cfg = PopulationConfig {
@@ -203,7 +197,7 @@ mod tests {
             mean_degree_across: 1.0,
         };
         let pop = Population::generate(&cfg, 13).unwrap();
-        let frac = pop.within_county_edge_fraction();
+        let frac = within_county_edge_fraction(&pop);
         assert!(
             frac > 0.8,
             "block structure: within fraction {frac} should be > 0.8"
@@ -219,7 +213,7 @@ mod tests {
             mean_degree_across: 0.0,
         };
         let pop = Population::generate(&cfg, 17).unwrap();
-        assert_eq!(pop.within_county_edge_fraction(), 1.0);
+        assert_eq!(within_county_edge_fraction(&pop), 1.0);
     }
 
     #[test]

@@ -71,29 +71,6 @@ impl Activation {
             Activation::Identity => 1.0,
         }
     }
-
-    /// Stable name used by the checkpoint format.
-    pub fn name(self) -> &'static str {
-        match self {
-            Activation::Relu => "relu",
-            Activation::LeakyRelu => "leaky_relu",
-            Activation::Tanh => "tanh",
-            Activation::Sigmoid => "sigmoid",
-            Activation::Identity => "identity",
-        }
-    }
-
-    /// Inverse of [`Activation::name`].
-    pub fn from_name(name: &str) -> Result<Self> {
-        Ok(match name {
-            "relu" => Activation::Relu,
-            "leaky_relu" => Activation::LeakyRelu,
-            "tanh" => Activation::Tanh,
-            "sigmoid" => Activation::Sigmoid,
-            "identity" => Activation::Identity,
-            other => return Err(NnError::Parse(format!("unknown activation `{other}`"))),
-        })
-    }
 }
 
 /// A fully connected layer `y = act(x W + b)` with cached forward state and
@@ -384,20 +361,6 @@ mod tests {
         assert_eq!(Activation::Relu.apply(2.0), 2.0);
         assert_eq!(Activation::Relu.derivative(-1.0, 0.0), 0.0);
         assert_eq!(Activation::Relu.derivative(1.0, 1.0), 1.0);
-    }
-
-    #[test]
-    fn activation_name_roundtrip() {
-        for act in [
-            Activation::Relu,
-            Activation::LeakyRelu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-            Activation::Identity,
-        ] {
-            assert_eq!(Activation::from_name(act.name()).unwrap(), act);
-        }
-        assert!(Activation::from_name("swish").is_err());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! * SGD, momentum, and Adam optimizers ([`optimizer`]),
 //! * a mini-batch trainer with shuffling, validation split and early
 //!   stopping ([`train`]),
-//! * feature/target standardization ([`scaler`]),
-//! * a versioned, dependency-free text checkpoint format ([`serialize`]).
+//! * feature/target standardization ([`scaler`]).
 //!
 //! Determinism: every stochastic element (init, shuffling, dropout masks)
 //! is driven by an explicit [`le_linalg::Rng`].
@@ -31,7 +30,6 @@ pub mod math;
 pub mod model;
 pub mod optimizer;
 pub mod scaler;
-pub mod serialize;
 pub mod train;
 
 pub use batch::BatchScratch;
@@ -49,10 +47,6 @@ pub enum NnError {
     Shape(String),
     /// Invalid hyperparameter (e.g. dropout rate outside [0, 1)).
     InvalidConfig(String),
-    /// Checkpoint parsing failed.
-    Parse(String),
-    /// Underlying I/O failure while reading/writing a checkpoint.
-    Io(String),
 }
 
 impl std::fmt::Display for NnError {
@@ -60,8 +54,6 @@ impl std::fmt::Display for NnError {
         match self {
             NnError::Shape(s) => write!(f, "shape error: {s}"),
             NnError::InvalidConfig(s) => write!(f, "invalid config: {s}"),
-            NnError::Parse(s) => write!(f, "checkpoint parse error: {s}"),
-            NnError::Io(s) => write!(f, "io error: {s}"),
         }
     }
 }

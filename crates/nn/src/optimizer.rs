@@ -4,8 +4,6 @@
 //! which parameter blocks are registered (the model registers its layers in
 //! a fixed order, so state stays aligned across steps).
 
-use le_linalg::Matrix;
-
 /// Optimizer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Optimizer {
@@ -43,11 +41,6 @@ impl Optimizer {
             beta2: 0.999,
             eps: 1e-8,
         }
-    }
-
-    /// Momentum with beta = 0.9.
-    pub fn momentum(lr: f64) -> Self {
-        Optimizer::Momentum { lr, beta: 0.9 }
     }
 }
 
@@ -136,15 +129,6 @@ impl OptimizerState {
         }
     }
 
-    /// Convenience: update a matrix block.
-    pub fn update_matrix(&mut self, block: usize, params: &mut Matrix, grads: &Matrix) {
-        debug_assert_eq!(params.shape(), grads.shape());
-        // Split borrows: temporarily move data out is unnecessary; operate on
-        // raw slices directly.
-        let g = grads.as_slice().to_vec();
-        self.update_slice(block, params.as_mut_slice(), &g);
-    }
-
     /// The configured rule.
     pub fn config(&self) -> Optimizer {
         self.config
@@ -175,7 +159,13 @@ mod tests {
 
     #[test]
     fn momentum_converges_on_quadratic() {
-        let x = run_quadratic(Optimizer::momentum(0.02), 400);
+        let x = run_quadratic(
+            Optimizer::Momentum {
+                lr: 0.02,
+                beta: 0.9,
+            },
+            400,
+        );
         assert!((x - 3.0).abs() < 1e-4, "momentum got {x}");
     }
 
@@ -212,7 +202,7 @@ mod tests {
 
     #[test]
     fn blocks_have_independent_state() {
-        let mut state = OptimizerState::new(Optimizer::momentum(1.0), 2);
+        let mut state = OptimizerState::new(Optimizer::Momentum { lr: 1.0, beta: 0.9 }, 2);
         let mut a = [0.0f64];
         let mut b = [0.0f64];
         state.begin_step();
@@ -224,19 +214,5 @@ mod tests {
         // Block 0 velocity decayed from 1; block 1 started fresh.
         assert!(a[0] < -1.0, "momentum carried for block 0");
         assert!((b[0] + 1.0).abs() < 1e-12, "block 1 unaffected by block 0");
-    }
-
-    #[test]
-    fn matrix_update_matches_slice_update() {
-        let mut state_a = OptimizerState::new(Optimizer::adam(0.05), 1);
-        let mut state_b = OptimizerState::new(Optimizer::adam(0.05), 1);
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let g = Matrix::from_rows(&[&[0.1, -0.2], &[0.3, 0.0]]);
-        let mut flat = m.as_slice().to_vec();
-        state_a.begin_step();
-        state_a.update_matrix(0, &mut m, &g);
-        state_b.begin_step();
-        state_b.update_slice(0, &mut flat, g.as_slice());
-        assert_eq!(m.as_slice(), &flat[..]);
     }
 }

@@ -54,27 +54,6 @@ impl Scaler {
         }
     }
 
-    /// Construct from explicit means/stds (deserialization).
-    pub fn from_parts(means: Vec<f64>, stds: Vec<f64>) -> Result<Self> {
-        if means.len() != stds.len() {
-            return Err(NnError::Shape("means/stds length mismatch".into()));
-        }
-        if stds.iter().any(|&s| s <= 0.0 || !s.is_finite()) {
-            return Err(NnError::InvalidConfig("stds must be positive finite".into()));
-        }
-        Ok(Self { means, stds })
-    }
-
-    /// Column means.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// Column standard deviations.
-    pub fn stds(&self) -> &[f64] {
-        &self.stds
-    }
-
     /// Number of columns this scaler applies to.
     pub fn cols(&self) -> usize {
         self.means.len()
@@ -218,9 +197,6 @@ mod tests {
         let scaler = Scaler::identity(3);
         assert!(scaler.transform(&Matrix::zeros(2, 2)).is_err());
         assert!(scaler.transform_slice(&mut [0.0, 0.0]).is_err());
-        assert!(Scaler::from_parts(vec![0.0], vec![1.0, 1.0]).is_err());
-        assert!(Scaler::from_parts(vec![0.0], vec![0.0]).is_err());
-        assert!(Scaler::from_parts(vec![0.0], vec![f64::NAN]).is_err());
     }
 
     #[test]
@@ -230,7 +206,10 @@ mod tests {
 
     #[test]
     fn inverse_scale_std_is_multiplicative() {
-        let scaler = Scaler::from_parts(vec![10.0, 20.0], vec![2.0, 4.0]).unwrap();
+        let scaler = Scaler {
+            means: vec![10.0, 20.0],
+            stds: vec![2.0, 4.0],
+        };
         assert_eq!(scaler.inverse_scale_std(0, 1.5), 3.0);
         assert_eq!(scaler.inverse_scale_std(1, 0.5), 2.0);
     }

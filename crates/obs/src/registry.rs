@@ -332,11 +332,6 @@ impl Registry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether recording is currently on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Get or register the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
         let mut inner = relock(self.inner.lock());

@@ -16,7 +16,6 @@ pub struct CampaignAccounting {
     learn_events: u64,
     lookup_seconds: f64,
     n_lookup: u64,
-    seq_reference_seconds: Option<f64>,
 }
 
 impl CampaignAccounting {
@@ -41,12 +40,6 @@ impl CampaignAccounting {
     pub fn record_lookup(&mut self, seconds: f64) {
         self.lookup_seconds += seconds;
         self.n_lookup += 1;
-    }
-
-    /// Set the sequential reference time (one un-accelerated simulation).
-    /// Defaults to the mean training-simulation time when unset.
-    pub fn set_sequential_reference(&mut self, seconds: f64) {
-        self.seq_reference_seconds = Some(seconds);
     }
 
     /// Count of training simulations.
@@ -86,7 +79,8 @@ impl CampaignAccounting {
         self.learn_events
     }
 
-    /// Derive the per-unit characteristic times measured so far.
+    /// Derive the per-unit characteristic times measured so far. The
+    /// sequential reference `t_seq` is the mean training-simulation time.
     /// Errors if no training simulations were recorded (no cost basis).
     pub fn times(&self) -> Result<SpeedupTimes> {
         if self.n_train == 0 {
@@ -95,7 +89,6 @@ impl CampaignAccounting {
             ));
         }
         let t_train = self.train_sim_seconds / self.n_train as f64;
-        let t_seq = self.seq_reference_seconds.unwrap_or(t_train);
         // T_learn is per training sample in the formula.
         let t_learn = self.learn_seconds / self.n_train as f64;
         let t_lookup = if self.n_lookup > 0 {
@@ -104,7 +97,7 @@ impl CampaignAccounting {
             0.0
         };
         Ok(SpeedupTimes {
-            t_seq,
+            t_seq: t_train,
             t_train,
             t_learn,
             t_lookup,
@@ -154,16 +147,8 @@ mod tests {
         assert!((t.t_train - 3.0).abs() < 1e-12);
         assert!((t.t_learn - 0.3).abs() < 1e-12);
         assert!((t.t_lookup - 0.002).abs() < 1e-12);
-        // Without an explicit reference, t_seq = t_train.
+        // The sequential reference is the training-simulation mean.
         assert!((t.t_seq - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn explicit_sequential_reference_used() {
-        let mut acc = CampaignAccounting::new();
-        acc.record_training_sim(1.0);
-        acc.set_sequential_reference(8.0);
-        assert!((acc.times().unwrap().t_seq - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -96,39 +96,6 @@ pub fn lookup_limit(times: &SpeedupTimes) -> Result<f64> {
     Ok(times.t_seq / times.t_lookup)
 }
 
-/// Break-even lookup count: the N_lookup at which the hybrid halves the gap
-/// between the no-ML and the asymptotic limit is a smooth crossover, so we
-/// report the N_lookup at which S reaches `fraction` (0 < fraction < 1) of
-/// the asymptotic limit. Returns `None` if the target is unreachable.
-pub fn lookups_to_reach_fraction(
-    times: &SpeedupTimes,
-    n_train: f64,
-    fraction: f64,
-) -> Result<Option<f64>> {
-    times.validate()?;
-    if !(0.0..1.0).contains(&fraction) || n_train <= 0.0 {
-        return Err(PerfError::Invalid(format!(
-            "fraction {fraction} must be in (0,1), n_train {n_train} > 0"
-        )));
-    }
-    if times.t_lookup <= 0.0 {
-        return Ok(Some(0.0));
-    }
-    let target = fraction * times.t_seq / times.t_lookup;
-    // Solve S(N) = target for N = n_lookup:
-    // T_seq (N + M) = target (T_lookup N + C M), with M = n_train,
-    // C = t_train + t_learn.
-    let c = times.t_train + times.t_learn;
-    let a = times.t_seq - target * times.t_lookup;
-    let b = n_train * (target * c - times.t_seq);
-    if a <= 0.0 {
-        // Even infinite lookups cannot reach the target.
-        return Ok(None);
-    }
-    let n = b / a;
-    Ok(Some(n.max(0.0)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,38 +178,6 @@ mod tests {
         let s_cheap = effective_speedup(&cheap, 1e4, 100.0).unwrap().speedup;
         let s_costly = effective_speedup(&costly, 1e4, 100.0).unwrap().speedup;
         assert!(s_costly < s_cheap);
-    }
-
-    #[test]
-    fn lookups_to_reach_fraction_is_consistent() {
-        let t = paper_times();
-        let n_train = 100.0;
-        let n = lookups_to_reach_fraction(&t, n_train, 0.5)
-            .unwrap()
-            .expect("reachable");
-        let s = effective_speedup(&t, n, n_train).unwrap().speedup;
-        let target = 0.5 * lookup_limit(&t).unwrap();
-        assert!(
-            (s - target).abs() < 1e-6 * target,
-            "S({n}) = {s} should equal the target {target}"
-        );
-    }
-
-    #[test]
-    fn unreachable_fraction_returns_none() {
-        // If t_lookup ≥ t_seq the "limit" is below 1 and any fraction of it
-        // is trivially reached; make t_lookup huge relative to the target so
-        // a > 0 fails… construct: fraction such that target > t_seq/t_lookup
-        // is impossible by definition (target = fraction × limit < limit),
-        // so instead check the a ≤ 0 path with fraction → 1 and t_lookup
-        // comparable to t_seq where the formula's a becomes ≤ 0 only when
-        // fraction = 1 − ε and costs balance. Simpler: verify Some(0) for
-        // t_lookup = 0.
-        let t = SpeedupTimes {
-            t_lookup: 0.0,
-            ..paper_times()
-        };
-        assert_eq!(lookups_to_reach_fraction(&t, 10.0, 0.9).unwrap(), Some(0.0));
     }
 
     #[test]

@@ -16,11 +16,6 @@ pub struct Completion {
 }
 
 impl Completion {
-    /// Queueing delay (start − arrival).
-    pub fn wait(&self) -> f64 {
-        self.start - self.arrival
-    }
-
     /// Sojourn time (finish − arrival).
     pub fn latency(&self) -> f64 {
         self.finish - self.arrival
@@ -93,21 +88,6 @@ impl Metrics {
         }
     }
 
-    /// Mean queueing delay of a class.
-    pub fn mean_wait(&self, class: TaskClass) -> Option<f64> {
-        let v: Vec<f64> = self
-            .completions
-            .iter()
-            .filter(|c| c.class == class)
-            .map(|c| c.wait())
-            .collect();
-        if v.is_empty() {
-            None
-        } else {
-            Some(v.iter().sum::<f64>() / v.len() as f64)
-        }
-    }
-
     /// Latency quantile of a class (`q` in [0, 1]).
     pub fn latency_quantile(&self, class: TaskClass, q: f64) -> Option<f64> {
         let mut v: Vec<f64> = self
@@ -122,15 +102,6 @@ impl Metrics {
         v.sort_by(|a, b| a.total_cmp(b));
         let pos = (q.clamp(0.0, 1.0) * (v.len() - 1) as f64).round() as usize;
         Some(v[pos])
-    }
-
-    /// Throughput in tasks per unit time.
-    pub fn throughput(&self) -> f64 {
-        if self.makespan > 0.0 {
-            self.n_completed as f64 / self.makespan
-        } else {
-            0.0
-        }
     }
 }
 
@@ -163,12 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn latency_and_wait() {
+    fn mean_latency_per_class() {
         let m = sample_metrics();
         // Learnt latencies: 1.1, 0.4 -> mean 0.75.
         assert!((m.mean_latency(TaskClass::Learnt).unwrap() - 0.75).abs() < 1e-12);
-        // Learnt waits: 1.0, 0.2 -> mean 0.6.
-        assert!((m.mean_wait(TaskClass::Learnt).unwrap() - 0.6).abs() < 1e-12);
         assert!((m.mean_latency(TaskClass::Unlearnt).unwrap() - 2.0).abs() < 1e-12);
     }
 
@@ -180,11 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_throughput() {
+    fn utilization() {
         let m = sample_metrics();
         // busy 2.3 over 2 workers × 2.0 = 0.575.
         assert!((m.utilization - 0.575).abs() < 1e-12);
-        assert!((m.throughput() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -192,6 +160,5 @@ mod tests {
         let m = Metrics::from_completions(vec![], &[0.0], 0.0);
         assert!(m.mean_latency(TaskClass::Learnt).is_none());
         assert!(m.latency_quantile(TaskClass::Unlearnt, 0.5).is_none());
-        assert_eq!(m.throughput(), 0.0);
     }
 }

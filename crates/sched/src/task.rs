@@ -118,16 +118,6 @@ impl Workload {
         Ok(Self { tasks })
     }
 
-    /// Number of tasks of each class `(learnt, unlearnt)`.
-    pub fn class_counts(&self) -> (usize, usize) {
-        let learnt = self
-            .tasks
-            .iter()
-            .filter(|t| t.class == TaskClass::Learnt)
-            .count();
-        (learnt, self.tasks.len() - learnt)
-    }
-
     /// Total service demand (sum of service times).
     pub fn total_service(&self) -> f64 {
         self.tasks.iter().map(|t| t.service).sum()

@@ -231,26 +231,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Summarize `bounds`/`counts` histogram data at quantile `q`: the upper
-/// bound of the bucket where the cumulative count crosses, matching how
-/// the campaign reports tail latency from an OBS snapshot. Overflow
-/// resolves to infinity.
-pub fn histogram_quantile(bounds: &[f64], counts: &[u64], q: f64) -> f64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let target = (q * total as f64).ceil().max(1.0) as u64;
-    let mut cum = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        cum += c;
-        if cum >= target {
-            return bounds.get(i).copied().unwrap_or(f64::INFINITY);
-        }
-    }
-    f64::INFINITY
-}
-
 /// The serving loop's mutable state while draining the stream.
 struct Server<'a, S: Simulator> {
     engine: &'a mut HybridEngine<S>,
@@ -544,17 +524,5 @@ mod tests {
         le_linalg::assert_close!(percentile(&xs, 0.99), 99.0, 1e-12);
         le_linalg::assert_close!(percentile(&xs, 0.999), 100.0, 1e-12);
         le_linalg::assert_close!(percentile(&[], 0.5), 0.0, 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantile_walks_buckets() {
-        let bounds = [1.0, 2.0, 4.0];
-        // 10 in (..1], 85 in (1..2], 5 in (2..4], 0 overflow.
-        let counts = [10, 85, 5, 0];
-        le_linalg::assert_close!(histogram_quantile(&bounds, &counts, 0.5), 2.0, 1e-12);
-        le_linalg::assert_close!(histogram_quantile(&bounds, &counts, 0.05), 1.0, 1e-12);
-        le_linalg::assert_close!(histogram_quantile(&bounds, &counts, 0.99), 4.0, 1e-12);
-        assert_eq!(histogram_quantile(&bounds, &[0, 0, 0, 0], 0.5), 0.0);
-        assert!(histogram_quantile(&bounds, &[0, 0, 0, 1], 0.5).is_infinite());
     }
 }

@@ -153,15 +153,6 @@ impl CellPopulation {
         }
         self.cells = next;
     }
-
-    /// Cell-count field (for coarse features / visualization).
-    pub fn density_field(&self) -> Field {
-        let mut f = Field::zeros(self.width, self.height);
-        for c in &self.cells {
-            f.add(c.x, c.y, 1.0);
-        }
-        f
-    }
 }
 
 #[cfg(test)]
@@ -244,15 +235,6 @@ mod tests {
         sites.sort_unstable();
         sites.dedup();
         assert_eq!(sites.len(), 9);
-    }
-
-    #[test]
-    fn density_field_counts_cells() {
-        let mut rng = Rng::new(7);
-        let pop = CellPopulation::seed(5, 5, 6, 1.0, &mut rng);
-        let f = pop.density_field();
-        assert_eq!(f.total(), 6.0);
-        assert!(f.max() <= 1.0, "one cell per site");
     }
 
     #[test]

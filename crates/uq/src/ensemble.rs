@@ -63,12 +63,6 @@ impl DeepEnsemble {
         Ok(Self { members: members? })
     }
 
-    /// Wrap pre-trained members (used by tests and custom pipelines).
-    pub fn from_members(members: Vec<Mlp>) -> Self {
-        assert!(!members.is_empty(), "ensemble needs members");
-        Self { members }
-    }
-
     /// Number of members.
     pub fn len(&self) -> usize {
         self.members.len()

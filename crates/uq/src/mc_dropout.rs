@@ -49,13 +49,6 @@ impl McDropout {
         &self.model
     }
 
-    /// Replace the wrapped model (after retraining in the active loop).
-    /// Rebuilds the batch engine's weight snapshot.
-    pub fn set_model(&mut self, model: Mlp) {
-        self.scratch = BatchScratch::new(&model);
-        self.model = model;
-    }
-
     /// Raw MC samples for one input: an `(n_samples, out_dim)` matrix.
     /// Consumes one mask-stream ordinal.
     pub fn sample(&mut self, x: &[f64]) -> Matrix {

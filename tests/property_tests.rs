@@ -175,9 +175,13 @@ fn celllist_matches_brute_force() {
         }
         let cl = CellList::build(bbox, cutoff, &pos);
         let mut found = std::collections::HashSet::new();
-        cl.for_each_pair(|i, j| {
-            let d = bbox.min_image(&pos[i], &pos[j]);
-            if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= cutoff * cutoff {
+        cl.for_each_pair_dist(&pos, |i, j, d, r2| {
+            let m = bbox.min_image(&pos[i], &pos[j]);
+            assert!(
+                (0..3).all(|k| (d[k] - m[k]).abs() < 1e-12),
+                "case {case}: displacement of ({i}, {j})"
+            );
+            if r2 <= cutoff * cutoff {
                 found.insert((i.min(j), i.max(j)));
             }
         });
