@@ -281,27 +281,6 @@ impl BpPotential {
             .expect("output width fixed"); // lint:allow(no-panic): output width fixed at train time
         back.as_slice().iter().sum()
     }
-
-    /// Numerical forces from the NN potential (central differences).
-    /// 6N energy evaluations — but each is an MLP pass, so driving
-    /// dynamics with the NN stays orders of magnitude cheaper than one
-    /// reference force evaluation: this is the AIMD-at-force-field-cost
-    /// usage of paper refs [32]–[33].
-    pub fn forces_numerical(&self, pos: &[Vec3], eps: f64) -> Vec<Vec3> {
-        let mut forces = vec![[0.0; 3]; pos.len()];
-        let mut work = pos.to_vec();
-        for i in 0..pos.len() {
-            for k in 0..3 {
-                work[i][k] = pos[i][k] + eps;
-                let e_hi = self.energy(&work);
-                work[i][k] = pos[i][k] - eps;
-                let e_lo = self.energy(&work);
-                work[i][k] = pos[i][k];
-                forces[i][k] = -(e_hi - e_lo) / (2.0 * eps);
-            }
-        }
-        forces
-    }
 }
 
 #[cfg(test)]
@@ -442,7 +421,7 @@ mod tests {
         let (_, _, pot, _) = quick_training();
         let mut rng = Rng::new(86);
         let pos = random_cluster(6, 1.0, 1.5, &mut rng);
-        let forces = pot.forces_numerical(&pos, 1e-4);
+        let forces = crate::numerical_forces(&pos, 1e-4, |p| pot.energy(p));
         let e0 = pot.energy(&pos);
         let norm: f64 = forces
             .iter()

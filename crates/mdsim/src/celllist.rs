@@ -7,11 +7,13 @@
 //!
 //! Particle membership is stored as a CSR array (`starts` offsets into a
 //! cell-sorted `items` array) rather than the classic head/next linked
-//! chains: pair traversal then walks contiguous index slices instead of
-//! chasing pointers, and a cell's occupants are available as a slice —
-//! which is what lets [`CellList::for_each_pair_dist`] compute
-//! displacements inline (branch-based minimum image, no divisions) and
-//! what the row-parallel force decomposition in `forces.rs` builds on.
+//! chains. A CSR position is a *slot*: slot `p` holds particle `items[p]`,
+//! and a cell's occupants are a contiguous slot range. Pair traversal is a
+//! walk over *rows* — one origin slot against a contiguous range of
+//! partner slots ([`CellList::for_each_row_in_task`]) — which is what the
+//! row-batched force kernel in `forces.rs` consumes.
+
+use std::ops::Range;
 
 use crate::system::{SlabBox, Vec3};
 
@@ -25,61 +27,81 @@ pub struct CellList {
     starts: Vec<usize>,
     /// Particle indices sorted by cell (ascending index within a cell).
     items: Vec<usize>,
+    /// Rebuild scratch: each particle's cell and the counting-sort fill
+    /// cursor, kept so [`CellList::rebuild`] allocates nothing.
+    cell_ids: Vec<usize>,
+    cursor: Vec<usize>,
     bbox: SlabBox,
 }
 
 impl CellList {
     /// Build a cell list for `positions` with the given interaction cutoff.
-    /// Falls back to a single cell per axis when the box is smaller than the
-    /// cutoff (which degrades to the O(N²) all-pairs loop — still correct).
+    /// A box under 3 cutoffs on any axis gets a single cell: the half
+    /// stencil would alias cells there, and the one cell's intra-cell walk
+    /// is the O(N²) all-pairs loop — still correct.
     pub fn build(bbox: SlabBox, cutoff: f64, positions: &[Vec3]) -> Self {
         debug_assert!(cutoff > 0.0);
-        let nx = (bbox.lx / cutoff).floor().max(1.0) as usize;
-        let ny = (bbox.ly / cutoff).floor().max(1.0) as usize;
-        let nz = (bbox.h / cutoff).floor().max(1.0) as usize;
-        let n_cells = nx * ny * nz;
+        let axis = |len: f64| (len / cutoff).floor().max(1.0) as usize;
+        let (mut nx, mut ny, mut nz) = (axis(bbox.lx), axis(bbox.ly), axis(bbox.h));
+        if nx < 3 || ny < 3 || nz < 3 {
+            (nx, ny, nz) = (1, 1, 1);
+        }
         let mut list = Self {
             nx,
             ny,
             nz,
-            starts: vec![0; n_cells + 1],
-            items: vec![0; positions.len()],
+            starts: Vec::new(),
+            items: Vec::new(),
+            cell_ids: Vec::new(),
+            cursor: Vec::new(),
             bbox,
         };
+        list.rebuild(positions);
+        list
+    }
+
+    /// Re-bin `positions` on the same grid, reusing every buffer: after
+    /// the first build at a given particle count this allocates nothing.
+    pub fn rebuild(&mut self, positions: &[Vec3]) {
+        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
+        let n_cells = nx * ny * nz;
         // Counting sort: count per cell, prefix-sum, then a forward fill so
         // indices stay ascending within each cell (deterministic order).
         // Binning multiplies by precomputed reciprocals — three fdivs per
         // particle would otherwise dominate the build.
-        let sx = 1.0 / bbox.lx;
-        let sy = 1.0 / bbox.ly;
-        let sz = 1.0 / bbox.h;
-        let cell_ids: Vec<usize> = positions
-            .iter()
-            .map(|r| {
-                let fx = (r[0] * sx).rem_euclid(1.0);
-                let fy = (r[1] * sy).rem_euclid(1.0);
-                let fz = (r[2] * sz).clamp(0.0, 1.0 - 1e-12);
-                let ix = ((fx * nx as f64) as usize).min(nx - 1);
-                let iy = ((fy * ny as f64) as usize).min(ny - 1);
-                let iz = ((fz * nz as f64) as usize).min(nz - 1);
-                (iz * ny + iy) * nx + ix
-            })
-            .collect();
-        for &c in &cell_ids {
-            list.starts[c + 1] += 1;
+        let sx = 1.0 / self.bbox.lx;
+        let sy = 1.0 / self.bbox.ly;
+        let sz = 1.0 / self.bbox.h;
+        self.cell_ids.clear();
+        self.cell_ids.extend(positions.iter().map(|r| {
+            let fx = (r[0] * sx).rem_euclid(1.0);
+            let fy = (r[1] * sy).rem_euclid(1.0);
+            let fz = (r[2] * sz).clamp(0.0, 1.0 - 1e-12);
+            let ix = ((fx * nx as f64) as usize).min(nx - 1);
+            let iy = ((fy * ny as f64) as usize).min(ny - 1);
+            let iz = ((fz * nz as f64) as usize).min(nz - 1);
+            (iz * ny + iy) * nx + ix
+        }));
+        self.starts.clear();
+        self.starts.resize(n_cells + 1, 0);
+        for &c in &self.cell_ids {
+            self.starts[c + 1] += 1;
         }
         for c in 0..n_cells {
-            list.starts[c + 1] += list.starts[c];
+            self.starts[c + 1] += self.starts[c];
         }
-        let mut cursor = list.starts.clone();
-        for (i, &c) in cell_ids.iter().enumerate() {
-            list.items[cursor[c]] = i;
-            cursor[c] += 1;
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.starts);
+        self.items.clear();
+        self.items.resize(positions.len(), 0);
+        for (i, &c) in self.cell_ids.iter().enumerate() {
+            self.items[self.cursor[c]] = i;
+            self.cursor[c] += 1;
         }
-        list
     }
 
-    /// Grid shape `(nx, ny, nz)`.
+    /// Grid shape `(nx, ny, nz)`; `(1, 1, 1)` for a box under 3 cutoffs on
+    /// any axis.
     pub fn shape(&self) -> (usize, usize, usize) {
         (self.nx, self.ny, self.nz)
     }
@@ -94,29 +116,34 @@ impl CellList {
         self.items.is_empty()
     }
 
-    /// Gather `pos` into cell-sorted order (`out[p] == pos[items[p]]`),
-    /// reusing `out`'s allocation. A traversal that streams this snapshot
-    /// reads positions contiguously instead of gathering through the index
-    /// indirection on every candidate pair — the caller must re-gather
-    /// whenever positions change (the cell list itself may be stale by up
-    /// to the rebuild interval; the snapshot must never be).
-    pub fn gather(&self, pos: &[Vec3], out: &mut Vec<Vec3>) {
-        out.clear();
-        out.extend(self.items.iter().map(|&i| pos[i]));
+    /// The particle in each slot: slot `p` holds particle `items()[p]`.
+    pub fn items(&self) -> &[usize] {
+        &self.items
     }
 
-    /// With fewer than 3 cells along an axis the half stencil would alias
-    /// cells; such grids use the O(N²) fallback.
+    /// Gather per-particle values into slot order (`out[p] ==
+    /// src[items[p]]`), reusing `out`'s allocation. A traversal that
+    /// streams this snapshot reads partners contiguously instead of
+    /// gathering through the index indirection on every candidate pair —
+    /// the caller must re-gather whenever the values change (the cell list
+    /// itself may be stale by up to the rebuild interval; the snapshot must
+    /// never be).
+    pub fn gather<T: Copy>(&self, src: &[T], out: &mut Vec<T>) {
+        out.clear();
+        out.extend(self.items.iter().map(|&i| src[i]));
+    }
+
+    /// One grid cell for the whole box: the all-pairs walk.
     #[inline]
-    fn small(&self) -> bool {
-        self.nx < 3 || self.ny < 3 || self.nz < 3
+    fn single(&self) -> bool {
+        self.starts.len() == 2
     }
 
     /// Minimum-image displacement `ri - rj` for in-box coordinates:
     /// compare-and-shift on the periodic axes instead of a divide+round,
     /// exact for any `|Δ| < L` (which box-wrapped positions guarantee).
-    #[inline]
-    fn disp(&self, ri: &Vec3, rj: &Vec3) -> Vec3 {
+    #[inline(always)]
+    pub(crate) fn disp(&self, ri: &Vec3, rj: &Vec3) -> Vec3 {
         let mut dx = ri[0] - rj[0];
         let hx = 0.5 * self.bbox.lx;
         if dx > hx {
@@ -136,14 +163,13 @@ impl CellList {
 
     /// Number of independent pair-visit tasks. On the stencil path each
     /// task is one `(iy, iz)` cell row (every unordered pair belongs to
-    /// exactly one origin row); small grids use strided slices of the
-    /// all-pairs outer loop. A pure function of the grid and particle
+    /// exactly one origin row); the single-cell grid uses strided slices of
+    /// the all-pairs outer loop. A pure function of the grid and particle
     /// count — never of the thread count — so any grouping of tasks
     /// reproduces the same pair partition.
     pub fn n_pair_tasks(&self) -> usize {
-        if self.small() {
-            let n = self.items.len();
-            if n < 64 {
+        if self.single() {
+            if self.items.len() < 64 {
                 1
             } else {
                 8
@@ -153,73 +179,35 @@ impl CellList {
         }
     }
 
-    /// Visit every unordered particle pair whose origin falls in task
-    /// `task` (see [`CellList::n_pair_tasks`]), passing the minimum-image
-    /// displacement `pos[i] - pos[j]` and its squared norm. Tasks
+    /// Visit the pair rows whose origin falls in task `task` (see
+    /// [`CellList::n_pair_tasks`]): each `row(o, partners)` pairs origin
+    /// slot `o` with every slot in `partners`, a contiguous range. Tasks
     /// partition the pairs: over all tasks each unordered pair is visited
-    /// exactly once. `gathered` is the cell-ordered position snapshot (see
-    /// [`CellList::gather`]) that the stencil inner loops stream
-    /// contiguously instead of indirecting through the item indices per
-    /// candidate pair; `pos` is consulted only on the small-grid fallback
-    /// (which ignores cells and takes an empty snapshot).
-    pub fn for_each_pair_dist_in_task(
-        &self,
-        task: usize,
-        pos: &[Vec3],
-        gathered: &[Vec3],
-        mut f: impl FnMut(usize, usize, Vec3, f64),
-    ) {
-        if self.small() {
-            self.small_pairs_dist(task, pos, &mut f);
-        } else {
-            debug_assert_eq!(gathered.len(), self.items.len());
-            self.stencil_pairs_dist(task, gathered, &mut f);
-        }
-    }
-
-    /// Strided all-pairs slice of the small-grid fallback.
-    fn small_pairs_dist(&self, task: usize, pos: &[Vec3], f: &mut impl FnMut(usize, usize, Vec3, f64)) {
-        let n = self.items.len();
-        let stride = self.n_pair_tasks();
-        let mut i = task;
-        while i < n {
-            for j in i + 1..n {
-                let d = self.disp(&pos[i], &pos[j]);
-                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                f(i, j, d, r2);
-            }
-            i += stride;
-        }
-    }
-
-    /// Stencil-path pair walk for one origin row, fused: row → neighbor
-    /// spans → zipped (index, position) slices, with the minimum image
-    /// inlined (compare-and-shift on hoisted box half-widths, no
-    /// divisions). The visit order is a pure function of the grid and the
-    /// build order — never of the thread count — which is all the
+    /// exactly once. The visit order is a pure function of the grid and
+    /// the build order — never of the thread count — which is all the
     /// deterministic force decomposition needs.
-    fn stencil_pairs_dist(
-        &self,
-        task: usize,
-        gathered: &[Vec3],
-        f: &mut impl FnMut(usize, usize, Vec3, f64),
-    ) {
-        let lx = self.bbox.lx;
-        let hx = 0.5 * lx;
-        let ly = self.bbox.ly;
-        let hy = 0.5 * ly;
+    pub fn for_each_row_in_task(&self, task: usize, mut row: impl FnMut(usize, Range<usize>)) {
+        if self.single() {
+            // The one cell's intra-cell walk, strided over the tasks.
+            let n = self.items.len();
+            let stride = self.n_pair_tasks();
+            let mut o = task;
+            while o < n {
+                row(o, o + 1..n);
+                o += stride;
+            }
+            return;
+        }
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let iz = task / ny;
         let iy = task % ny;
         // The half stencil (the cell itself plus 13 forward neighbors, so
         // every cell pair is visited once) groups into the +x cell of the
-        // origin row plus
-        // four neighbor x-rows (y+1 on this plane; y-1, y, y+1 on the z+1
-        // plane). Within each neighbor row the dx = -1, 0, 1 cells are
-        // consecutive, so away from the x boundary they form ONE contiguous
-        // CSR span — merged inner loops run ~3 cells long instead of paying
-        // loop setup and exit misprediction per near-empty cell. Offsets
-        // are ±1 and the grid is ≥3 cells per axis here, so
+        // origin row plus four neighbor x-rows (y+1 on this plane; y-1, y,
+        // y+1 on the z+1 plane). Within each neighbor row the dx = -1, 0, 1
+        // cells are consecutive, so away from the x boundary they form ONE
+        // contiguous CSR span — one row of ~3 cells instead of three short
+        // ones. Offsets are ±1 and the grid is ≥3 cells per axis here, so
         // compare-and-shift wraps exactly like `rem_euclid` without its
         // integer divisions.
         let wrap_y = |jy: i64| -> usize {
@@ -241,23 +229,6 @@ impl CellList {
                 n_spans += 1;
             }
         }
-        let mut emit = |i: usize, pi: Vec3, j: usize, pj: &Vec3| {
-            let mut dx = pi[0] - pj[0];
-            if dx > hx {
-                dx -= lx;
-            } else if dx < -hx {
-                dx += lx;
-            }
-            let mut dy = pi[1] - pj[1];
-            if dy > hy {
-                dy -= ly;
-            } else if dy < -hy {
-                dy += ly;
-            }
-            let dz = pi[2] - pj[2];
-            let r2 = dx * dx + dy * dy + dz * dz;
-            f(i, j, [dx, dy, dz], r2);
-        };
         let row_base = (iz * ny + iy) * nx;
         for ix in 0..nx {
             let c = row_base + ix;
@@ -265,59 +236,56 @@ impl CellList {
             if a0 == a1 {
                 continue;
             }
-            let ia = &self.items[a0..a1];
-            let pa = &gathered[a0..a1];
             // Intra-cell pairs.
-            for (p, (&i, pi)) in ia.iter().zip(pa).enumerate() {
-                for (&j, pj) in ia[p + 1..].iter().zip(&pa[p + 1..]) {
-                    emit(i, *pi, j, pj);
-                }
+            for o in a0..a1 {
+                row(o, o + 1..a1);
             }
-            // All origin atoms against the CSR span covering cells
+            // All origin slots against the CSR span covering cells
             // `c_lo..c_hi` of a neighbor row.
-            let mut emit_span = |c_lo: usize, c_hi: usize| {
+            let mut span = |c_lo: usize, c_hi: usize| {
                 let (b0, b1) = (self.starts[c_lo], self.starts[c_hi]);
                 if b0 == b1 {
                     return;
                 }
-                let ib = &self.items[b0..b1];
-                let pb = &gathered[b0..b1];
-                for (&i, pi) in ia.iter().zip(pa) {
-                    for (&j, pj) in ib.iter().zip(pb) {
-                        emit(i, *pi, j, pj);
-                    }
+                for o in a0..a1 {
+                    row(o, b0..b1);
                 }
             };
             // +x neighbor in the origin row (wrapped).
             let jx = if ix + 1 == nx { 0 } else { ix + 1 };
-            emit_span(row_base + jx, row_base + jx + 1);
+            span(row_base + jx, row_base + jx + 1);
             // The four neighbor rows as dx = -1..=1 spans; boundary columns
             // split into two wrapped runs (dx order preserved).
             for &sb in &span_bases[..n_spans] {
                 if ix == 0 {
-                    emit_span(sb + nx - 1, sb + nx);
-                    emit_span(sb, sb + 2);
+                    span(sb + nx - 1, sb + nx);
+                    span(sb, sb + 2);
                 } else if ix + 1 == nx {
-                    emit_span(sb + nx - 2, sb + nx);
-                    emit_span(sb, sb + 1);
+                    span(sb + nx - 2, sb + nx);
+                    span(sb, sb + 1);
                 } else {
-                    emit_span(sb + ix - 1, sb + ix + 2);
+                    span(sb + ix - 1, sb + ix + 2);
                 }
             }
         }
     }
 
-    /// Visit every unordered particle pair within neighboring cells with
-    /// its minimum-image displacement and squared distance — the fast path
-    /// for force loops (no divisions, contiguous CSR slices). Gathers a
-    /// cell-ordered position snapshot once and streams it.
+    /// Visit every unordered particle pair within neighboring cells as
+    /// `f(i, j, pos[i] - pos[j], r²)` (minimum image), in the row walk's
+    /// order. A pair-at-a-time adapter over
+    /// [`CellList::for_each_row_in_task`] for benches and tests; the force
+    /// loop consumes the rows directly.
     pub fn for_each_pair_dist(&self, pos: &[Vec3], mut f: impl FnMut(usize, usize, Vec3, f64)) {
         let mut gathered = Vec::new();
-        if !self.small() {
-            self.gather(pos, &mut gathered);
-        }
+        self.gather(pos, &mut gathered);
         for task in 0..self.n_pair_tasks() {
-            self.for_each_pair_dist_in_task(task, pos, &gathered, &mut f);
+            self.for_each_row_in_task(task, |o, partners| {
+                for p in partners {
+                    let d = self.disp(&gathered[o], &gathered[p]);
+                    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+                    f(self.items[o], self.items[p], d, r2);
+                }
+            });
         }
     }
 }
@@ -437,27 +405,43 @@ mod tests {
             let cl = CellList::build(bbox, cutoff, &pos);
             let mut gathered = Vec::new();
             cl.gather(&pos, &mut gathered);
-            // Over all tasks each pair comes once, the inline displacement
+            // Over all tasks each pair comes once, the slot displacement
             // equals SlabBox::min_image, and the pairs within the cutoff
             // are exactly the brute-force set.
             let mut seen = HashSet::new();
             let mut within = HashSet::new();
             for task in 0..cl.n_pair_tasks() {
-                cl.for_each_pair_dist_in_task(task, &pos, &gathered, |i, j, d, r2| {
-                    let key = (i.min(j), i.max(j));
-                    assert!(seen.insert(key), "pair revisited");
-                    let m = bbox.min_image(&pos[i], &pos[j]);
-                    for k in 0..3 {
-                        assert!((d[k] - m[k]).abs() < 1e-12, "disp axis {k}");
-                    }
-                    let m2 = m[0] * m[0] + m[1] * m[1] + m[2] * m[2];
-                    assert!((r2 - m2).abs() < 1e-12);
-                    if m2 <= cutoff * cutoff {
-                        within.insert(key);
+                cl.for_each_row_in_task(task, |o, partners| {
+                    for p in partners {
+                        let (i, j) = (cl.items()[o], cl.items()[p]);
+                        let key = (i.min(j), i.max(j));
+                        assert!(seen.insert(key), "pair revisited");
+                        let d = cl.disp(&gathered[o], &gathered[p]);
+                        let m = bbox.min_image(&pos[i], &pos[j]);
+                        for k in 0..3 {
+                            assert!((d[k] - m[k]).abs() < 1e-12, "disp axis {k}");
+                        }
+                        let m2 = m[0] * m[0] + m[1] * m[1] + m[2] * m[2];
+                        if m2 <= cutoff * cutoff {
+                            within.insert(key);
+                        }
                     }
                 });
             }
             assert_eq!(within, brute_pairs(&bbox, cutoff, &pos));
+        }
+    }
+
+    #[test]
+    fn rebuild_in_place_matches_a_fresh_build() {
+        let bbox = SlabBox::new(12.0, 12.0, 9.0).unwrap();
+        let mut cl = CellList::build(bbox, 1.5, &random_positions(250, &bbox, 53));
+        for (n, seed) in [(250, 54u64), (180, 55), (300, 56)] {
+            let pos = random_positions(n, &bbox, seed);
+            cl.rebuild(&pos);
+            let fresh = CellList::build(bbox, 1.5, &pos);
+            assert_eq!(cl.items(), fresh.items());
+            assert_eq!(cl.starts, fresh.starts);
         }
     }
 

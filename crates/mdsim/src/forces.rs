@@ -7,8 +7,11 @@
 //! and inverse Debye screening length `kappa` derived from the salt
 //! concentration, which is how the implicit solvent enters.
 
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
+
 use crate::celllist::CellList;
-use crate::system::System;
+use crate::system::{System, Vec3};
 
 /// Bjerrum length of water at room temperature (nm).
 pub const BJERRUM_WATER: f64 = 0.714;
@@ -76,43 +79,19 @@ impl ForceField {
     /// Both terms use the *force-shifted* truncation
     /// `U_sf(r) = U(r) − U(rc) − (r − rc) U'(rc)`, which makes energy and
     /// force continuous at the cutoff — essential for low NVE energy drift.
-    #[inline]
+    /// The law itself is [`PairLaw::lane`], the per-lane function of the
+    /// row kernel that [`compute_forces_with`] runs; this is the one-pair
+    /// entry to it.
     pub fn pair(&self, r2: f64, qi: f64, qj: f64, sigma: f64) -> (f64, f64) {
-        let mut energy = 0.0;
-        let mut f_over_r = 0.0;
+        let law = PairLaw::new(self);
         let r = r2.sqrt();
-        // Force-shifted LJ.
-        let rc_lj = self.lj_cutoff_factor * sigma;
-        if r < rc_lj {
-            let lj = |rr: f64| -> (f64, f64) {
-                // Returns (U, F) with F = -dU/dr.
-                let sr2 = sigma * sigma / (rr * rr);
-                let sr6 = sr2 * sr2 * sr2;
-                let sr12 = sr6 * sr6;
-                let u = 4.0 * self.epsilon * (sr12 - sr6);
-                let f = 24.0 * self.epsilon * (2.0 * sr12 - sr6) / rr;
-                (u, f)
-            };
-            let (u, f) = lj(r);
-            let (u_c, f_c) = lj(rc_lj);
-            energy += u - u_c + (r - rc_lj) * f_c;
-            f_over_r += (f - f_c) / r;
-        }
-        // Force-shifted screened Coulomb (Yukawa).
-        // Zero charge means "no Coulomb term", an exact sentinel.
-        if qi != 0.0 && qj != 0.0 && r < self.coulomb_cutoff { // lint:allow(float-hygiene): exact sentinel
-            let pref = self.l_b * qi * qj;
-            let yuk = |rr: f64| -> (f64, f64) {
-                let u = pref * (-self.kappa * rr).exp() / rr;
-                let f = u * (self.kappa + 1.0 / rr);
-                (u, f)
-            };
-            let (u, f) = yuk(r);
-            let (u_c, f_c) = yuk(self.coulomb_cutoff);
-            energy += u - u_c + (r - self.coulomb_cutoff) * f_c;
-            f_over_r += (f - f_c) / r;
-        }
-        (energy, f_over_r)
+        law.lane(
+            sigma,
+            law.l_b * qi * qj,
+            charged(qi, qj),
+            r,
+            (-law.kappa * r).exp(),
+        )
     }
 
     /// Wall potential for a particle at height `z` in a slab of height `h`:
@@ -150,27 +129,238 @@ impl ForceField {
     }
 }
 
-/// Per-group force buffer for the parallel pair loop: forces accumulate
-/// here, group-locally, and are merged in fixed group order.
-#[derive(Debug, Default, Clone)]
-struct GroupBuf {
-    force: Vec<[f64; 3]>,
-    energy: f64,
+/// Zero charge means "no Coulomb term", an exact sentinel.
+#[inline(always)]
+fn charged(qi: f64, qj: f64) -> bool {
+    qi != 0.0 && qj != 0.0 // lint:allow(float-hygiene): exact sentinel
 }
 
-/// Reusable scratch for [`compute_forces_with`]: per-group force buffers
-/// and the gathered position snapshot persist across steps, so after the
-/// first call the buffers are never reallocated. A call still allocates
-/// once: `le_pool::par_for_chunks` builds a slot `Vec` per call to hand
-/// the group buffers to its tasks (ROADMAP item 3 tracks removing it). One
-/// scratch per trajectory; do not share across concurrently integrated
-/// systems.
+/// The pair law with every term that does not depend on the pair hoisted
+/// out of it: built once per force call, it holds `4ε`, `24ε` and the
+/// Yukawa cutoff's `exp(-κ·r_c)` and `κ + 1/r_c`. Each hoisted value is
+/// the expression the per-pair law would evaluate, with the same operands
+/// in the same order, so hoisting moves no bit.
+struct PairLaw {
+    eps4: f64,
+    eps24: f64,
+    lj_cutoff_factor: f64,
+    l_b: f64,
+    kappa: f64,
+    /// Coulomb cutoff `r_c`, `exp(-κ·r_c)` and `κ + 1/r_c`.
+    rc: f64,
+    exp_rc: f64,
+    kappa_rc: f64,
+}
+
+impl PairLaw {
+    fn new(ff: &ForceField) -> Self {
+        Self {
+            eps4: 4.0 * ff.epsilon,
+            eps24: 24.0 * ff.epsilon,
+            lj_cutoff_factor: ff.lj_cutoff_factor,
+            l_b: ff.l_b,
+            kappa: ff.kappa,
+            rc: ff.coulomb_cutoff,
+            exp_rc: (-ff.kappa * ff.coulomb_cutoff).exp(),
+            kappa_rc: ff.kappa + 1.0 / ff.coulomb_cutoff,
+        }
+    }
+
+    /// Square of [`ForceField::max_cutoff`] for pair σ `sigma`: pairs
+    /// beyond it are skipped.
+    #[inline(always)]
+    fn max_cut2(&self, sigma: f64) -> f64 {
+        let max_cut = (self.lj_cutoff_factor * sigma).max(self.rc);
+        max_cut * max_cut
+    }
+
+    /// LJ `(U, F)` at `r` (`F = -dU/dr`), given `σ²`.
+    #[inline(always)]
+    fn lj(&self, sigma2: f64, r: f64) -> (f64, f64) {
+        let sr2 = sigma2 / (r * r);
+        let sr6 = sr2 * sr2 * sr2;
+        let sr12 = sr6 * sr6;
+        (
+            self.eps4 * (sr12 - sr6),
+            self.eps24 * (2.0 * sr12 - sr6) / r,
+        )
+    }
+
+    /// Energy and `F/r` of one pair at distance `r`, given its σ, its
+    /// Coulomb prefactor `l_B·q_i·q_j`, the zero-charge test and
+    /// `exp(-κ·r)`. Branch-free: both terms and their cutoff values are
+    /// always evaluated and the cutoff tests select them. Each term keeps
+    /// its operations and their order, so a select yields the bits a branch
+    /// that computed only the selected term would.
+    #[inline(always)]
+    fn lane(&self, sigma: f64, pref: f64, charged: bool, r: f64, exp_r: f64) -> (f64, f64) {
+        // Force-shifted LJ.
+        let sigma2 = sigma * sigma;
+        let rc = self.lj_cutoff_factor * sigma;
+        let (u_c, f_c) = self.lj(sigma2, rc);
+        let (u, f) = self.lj(sigma2, r);
+        let e_lj = u - u_c + (r - rc) * f_c;
+        let f_lj = (f - f_c) / r;
+        let in_lj = r < rc;
+        let energy = if in_lj { 0.0 + e_lj } else { 0.0 };
+        let f_over_r = if in_lj { 0.0 + f_lj } else { 0.0 };
+        // Force-shifted screened Coulomb (Yukawa).
+        let u_c = pref * self.exp_rc / self.rc;
+        let f_c = u_c * self.kappa_rc;
+        let u = pref * exp_r / r;
+        let f = u * (self.kappa + 1.0 / r);
+        let e_yk = u - u_c + (r - self.rc) * f_c;
+        let f_yk = (f - f_c) / r;
+        let in_yk = charged && r < self.rc;
+        (
+            if in_yk { energy + e_yk } else { energy },
+            if in_yk { f_over_r + f_yk } else { f_over_r },
+        )
+    }
+}
+
+/// Partners per kernel block: a row runs its passes over blocks of at most
+/// this many lanes.
+const BLOCK: usize = 64;
+
+/// The slot-ordered particle data a row reads (see [`CellList::gather`]).
+struct Slots<'a> {
+    pos: &'a [Vec3],
+    charge: &'a [f64],
+    diameter: &'a [f64],
+}
+
+/// Lane arrays of one kernel block, one array per quantity so the
+/// lane-wise passes vectorize.
+struct Lanes {
+    d: [[f64; BLOCK]; 3],
+    r2: [f64; BLOCK],
+    r: [f64; BLOCK],
+    exp_r: [f64; BLOCK],
+    /// Square of the pair's largest cutoff: pairs beyond it are skipped.
+    max_cut2: [f64; BLOCK],
+    energy: [f64; BLOCK],
+    f_over_r: [f64; BLOCK],
+}
+
+impl Default for Lanes {
+    fn default() -> Self {
+        let z = [0.0; BLOCK];
+        Self {
+            d: [z; 3],
+            r2: z,
+            r: z,
+            exp_r: z,
+            max_cut2: z,
+            energy: z,
+            f_over_r: z,
+        }
+    }
+}
+
+impl std::fmt::Debug for Lanes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Lanes")
+    }
+}
+
+/// One force group's state: its slot-indexed force buffer and energy,
+/// merged in fixed group order, and its kernel lane arrays.
+#[derive(Debug, Default)]
+struct GroupBuf {
+    force: Vec<Vec3>,
+    energy: f64,
+    lanes: Lanes,
+}
+
+/// The row kernel: origin slot `o` against the partner slots `partners`.
+/// Adds the pair energies to `buf.energy` and ±f to the slot-indexed
+/// `buf.force`, in the pair order of a one-pair-at-a-time walk. Per block
+/// of partners it runs four passes:
+///
+/// 1. displacement, r² and `r = sqrt(max(r², 1e-6))`, lane-wise;
+/// 2. `exp(-κ·r)` (libm), in its own scalar pass;
+/// 3. [`PairLaw::lane`], lane-wise and branch-free;
+/// 4. energy and ±f, accumulated in pair order; a pair beyond its σ's
+///    largest cutoff adds nothing, not even a `+0.0`.
+fn row(
+    law: &PairLaw,
+    cells: &CellList,
+    slots: &Slots<'_>,
+    o: usize,
+    partners: Range<usize>,
+    buf: &mut GroupBuf,
+) {
+    let ln = &mut buf.lanes;
+    let pi = slots.pos[o];
+    let qi = slots.charge[o];
+    let di = slots.diameter[o];
+    let pref_i = law.l_b * qi;
+    let neg_kappa = -law.kappa;
+    let mut fi = buf.force[o];
+    let mut lo = partners.start;
+    while lo < partners.end {
+        let m = (partners.end - lo).min(BLOCK);
+        let pos = &slots.pos[lo..lo + m];
+        let q = &slots.charge[lo..lo + m];
+        let dia = &slots.diameter[lo..lo + m];
+        for l in 0..m {
+            let d = cells.disp(&pi, &pos[l]);
+            ln.d[0][l] = d[0];
+            ln.d[1][l] = d[1];
+            ln.d[2][l] = d[2];
+            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            ln.r2[l] = r2;
+            // Guard r² against overlap-singularity at insertion time.
+            ln.r[l] = r2.max(1e-6).sqrt();
+        }
+        for l in 0..m {
+            ln.exp_r[l] = (neg_kappa * ln.r[l]).exp();
+        }
+        for l in 0..m {
+            let sigma = 0.5 * (di + dia[l]);
+            ln.max_cut2[l] = law.max_cut2(sigma);
+            let (e, f) = law.lane(
+                sigma,
+                pref_i * q[l],
+                charged(qi, q[l]),
+                ln.r[l],
+                ln.exp_r[l],
+            );
+            ln.energy[l] = e;
+            ln.f_over_r[l] = f;
+        }
+        let acc = &mut buf.force[lo..lo + m];
+        for l in 0..m {
+            if ln.r2[l] > ln.max_cut2[l] {
+                continue;
+            }
+            buf.energy += ln.energy[l];
+            for k in 0..3 {
+                let fk = ln.f_over_r[l] * ln.d[k][l];
+                fi[k] += fk;
+                acc[l][k] -= fk;
+            }
+        }
+        lo += m;
+    }
+    buf.force[o] = fi;
+}
+
+/// Reusable scratch for [`compute_forces_with`]: per-group buffers (each
+/// behind its own lock, which only its group's task takes) and the
+/// slot-ordered snapshots persist across steps, so a warm force call
+/// allocates nothing. One scratch per trajectory; do not share across
+/// concurrently integrated systems.
 #[derive(Debug, Default)]
 pub struct ForceScratch {
-    groups: Vec<GroupBuf>,
-    /// Cell-ordered position snapshot (see [`CellList::gather`]), refreshed
-    /// every call so it never goes stale between cell-list rebuilds.
-    gathered: Vec<[f64; 3]>,
+    groups: Vec<Mutex<GroupBuf>>,
+    /// Slot-ordered positions, charges and diameters (see
+    /// [`CellList::gather`]), refreshed every call so they never go stale
+    /// between cell-list rebuilds.
+    pos: Vec<Vec3>,
+    charge: Vec<f64>,
+    diameter: Vec<f64>,
 }
 
 impl ForceScratch {
@@ -180,15 +370,15 @@ impl ForceScratch {
     }
 
     /// Ensure `n_groups` buffers of `n` zeroed entries, reusing capacity.
-    /// Buffers are zeroed by the merge pass after each use, so only fresh
-    /// or resized buffers need explicit clearing here.
+    /// Every buffer is zeroed here, so a call that a panicking task cut
+    /// short (which also poisons that group's lock) leaves nothing behind
+    /// for the next call.
     fn reset(&mut self, n_groups: usize, n: usize) {
-        self.groups.resize_with(n_groups, GroupBuf::default);
+        self.groups.resize_with(n_groups, Mutex::default);
         for g in &mut self.groups {
-            if g.force.len() != n {
-                g.force.clear();
-                g.force.resize(n, [0.0; 3]);
-            }
+            let g = g.get_mut().unwrap_or_else(PoisonError::into_inner);
+            g.force.clear();
+            g.force.resize(n, [0.0; 3]);
             g.energy = 0.0;
         }
     }
@@ -206,12 +396,12 @@ fn n_force_groups(n_tasks: usize, n: usize) -> usize {
 
 /// Compute all forces into `sys.force` and return total potential energy.
 /// Uses the provided cell list (built at the current positions) and
-/// `scratch` for per-group accumulation buffers that are reused across
-/// calls; the only per-call allocation is `le_pool::par_for_chunks`'s slot
-/// `Vec` (see [`ForceScratch`]).
+/// `scratch` for the slot-ordered snapshots and per-group buffers, which
+/// are reused across calls: a warm call allocates nothing.
 ///
 /// Pair tasks (cell rows) are grouped into [`n_force_groups`] contiguous
-/// ranges; each group accumulates ±f into its own buffer on whichever pool
+/// ranges, one `le_pool::par_for_each` task per group; each group runs its
+/// rows through the row kernel into its own buffer on whichever pool
 /// thread claims it, and buffers are merged into `sys.force` in group
 /// order. Both the grouping and the merge order are independent of the
 /// thread count, so the result is bit-identical to the sequential path.
@@ -226,52 +416,42 @@ pub fn compute_forces_with(
     let n_groups = n_force_groups(n_tasks, n);
     let tasks_per_group = n_tasks.div_ceil(n_groups.max(1)).max(1);
     scratch.reset(n_groups, n);
-    cells.gather(&sys.pos, &mut scratch.gathered);
+    cells.gather(&sys.pos, &mut scratch.pos);
+    cells.gather(&sys.charge, &mut scratch.charge);
+    cells.gather(&sys.diameter, &mut scratch.diameter);
+    let law = PairLaw::new(ff);
     {
-        let pos = &sys.pos;
-        let gathered: &[[f64; 3]] = &scratch.gathered;
-        let charge = &sys.charge;
-        let diameter = &sys.diameter;
-        le_pool::par_for_chunks(&mut scratch.groups, 1, |g, group| {
-            let buf = &mut group[0];
-            let acc = &mut buf.force;
-            let mut energy = 0.0;
+        let slots = Slots {
+            pos: &scratch.pos,
+            charge: &scratch.charge,
+            diameter: &scratch.diameter,
+        };
+        let groups = &scratch.groups;
+        le_pool::par_for_each(n_groups, |g| {
+            // Only this task takes group `g`'s lock. A poisoned one comes
+            // from an earlier call that a panic cut short, whose partial
+            // sums `reset` has already cleared.
+            let mut buf = groups[g].lock().unwrap_or_else(PoisonError::into_inner);
             let lo = g * tasks_per_group;
-            let hi = (lo + tasks_per_group).min(n_tasks);
-            for task in lo..hi {
-                cells.for_each_pair_dist_in_task(task, pos, gathered, |i, j, d, r2| {
-                    let sigma = 0.5 * (diameter[i] + diameter[j]);
-                    let max_cut = ff.max_cutoff(sigma);
-                    if r2 > max_cut * max_cut {
-                        return;
-                    }
-                    // Guard r² against overlap-singularity at insertion time.
-                    let r2 = r2.max(1e-6);
-                    let (e, f_over_r) = ff.pair(r2, charge[i], charge[j], sigma);
-                    energy += e;
-                    for k in 0..3 {
-                        let fk = f_over_r * d[k];
-                        acc[i][k] += fk;
-                        acc[j][k] -= fk;
-                    }
+            for task in lo..(lo + tasks_per_group).min(n_tasks) {
+                cells.for_each_row_in_task(task, |o, partners| {
+                    row(&law, cells, &slots, o, partners, &mut buf)
                 });
             }
-            buf.energy = energy;
         });
     }
-    // Merge group buffers in group order (and zero them for the next call),
-    // then add the wall forces.
+    // Merge group buffers in group order, then add the wall forces.
     for f in &mut sys.force {
         *f = [0.0; 3];
     }
     let mut potential = 0.0;
     for buf in &mut scratch.groups {
+        let buf = buf.get_mut().unwrap_or_else(PoisonError::into_inner);
         potential += buf.energy;
-        for (f, acc) in sys.force.iter_mut().zip(buf.force.iter_mut()) {
+        for (&i, acc) in cells.items().iter().zip(&buf.force) {
             for k in 0..3 {
-                f[k] += acc[k];
+                sys.force[i][k] += acc[k];
             }
-            *acc = [0.0; 3];
         }
     }
     let h = sys.bbox.h;
@@ -549,6 +729,151 @@ mod tests {
                 assert_eq!(a[k].to_bits(), b[k].to_bits());
             }
         }
+    }
+
+    /// The scalar oracle: a plain loop over [`ForceField::pair`] in the
+    /// row walk's pair order (through the pair-at-a-time adapter), merged
+    /// the way [`compute_forces_with`] merges a single force group.
+    fn scalar_forces(sys: &System, ff: &ForceField, cells: &CellList) -> (f64, Vec<Vec3>) {
+        let n = sys.len();
+        let mut acc = vec![[0.0f64; 3]; n];
+        let mut pair_energy = 0.0;
+        cells.for_each_pair_dist(&sys.pos, |i, j, d, r2| {
+            let sigma = 0.5 * (sys.diameter[i] + sys.diameter[j]);
+            let max_cut = ff.max_cutoff(sigma);
+            if r2 > max_cut * max_cut {
+                return;
+            }
+            let (e, f_over_r) = ff.pair(r2.max(1e-6), sys.charge[i], sys.charge[j], sigma);
+            pair_energy += e;
+            for k in 0..3 {
+                let fk = f_over_r * d[k];
+                acc[i][k] += fk;
+                acc[j][k] -= fk;
+            }
+        });
+        let mut potential = 0.0;
+        potential += pair_energy;
+        let mut force = vec![[0.0f64; 3]; n];
+        for (f, a) in force.iter_mut().zip(&acc) {
+            for k in 0..3 {
+                f[k] += a[k];
+            }
+        }
+        for i in 0..n {
+            let (e, fz) = ff.wall(sys.pos[i][2], sys.bbox.h);
+            potential += e;
+            force[i][2] += fz;
+        }
+        (potential, force)
+    }
+
+    /// Three species (charges +1, −2, 0; diameters 0.5, 0.7, 0.6 nm) in an
+    /// `l × l × h` box, plus hand-placed pairs of 0.5 nm ions: one closer
+    /// than the `1e-3` nm overlap guard, one exactly at the LJ cutoff
+    /// (2.5 σ = 1.25 nm) and one exactly at the 3.5 nm Coulomb cutoff. With
+    /// `nan`, one more ion sits at a NaN x.
+    fn edge_case_system(l: f64, h: f64, nan: bool) -> System {
+        let mut sys = System::new(SlabBox::new(l, l, h).unwrap());
+        let mut rng = Rng::new(61);
+        for (valency, diameter) in [(1, 0.5), (-2, 0.7), (0, 0.6)] {
+            sys.insert_species(
+                Species {
+                    valency,
+                    diameter,
+                    mass: 1.0,
+                },
+                25,
+                1.0,
+                &mut rng,
+            )
+            .unwrap();
+        }
+        let z = 0.5 * h;
+        let mut place = |x: f64, y: f64, valency: i32| {
+            let mut one = System::new(sys.bbox);
+            one.insert_species(
+                Species {
+                    valency,
+                    diameter: 0.5,
+                    mass: 1.0,
+                },
+                1,
+                1.0,
+                &mut rng,
+            )
+            .unwrap();
+            sys.pos.push([x, y, z]);
+            sys.vel.push(one.vel[0]);
+            sys.force.push([0.0; 3]);
+            sys.charge.push(valency as f64);
+            sys.diameter.push(0.5);
+            sys.mass.push(1.0);
+        };
+        place(1.0, 1.0, 1);
+        place(1.0 + 1e-4, 1.0, -2);
+        place(2.0, 2.0, 1);
+        place(3.25, 2.0, 1);
+        place(1.0, 3.0, -2);
+        place(4.5, 3.0, 1);
+        if nan {
+            place(f64::NAN, 1.5, 1);
+        }
+        sys
+    }
+
+    #[test]
+    fn row_kernel_is_bitwise_the_scalar_pair_loop() {
+        let ff = ForceField {
+            kappa: 0.9,
+            wall_sigma: 0.3,
+            ..Default::default()
+        };
+        let bin = 1.15 * ff.max_cutoff(0.7);
+        // An 8 nm box is one cell (the all-pairs walk); the 12.5 nm cube
+        // holds 3 bins per axis (the stencil walk). Both stay under 128
+        // ions, so one force group.
+        for (l, h, shape) in [(8.0, 4.0, (1, 1, 1)), (12.5, 12.5, (3, 3, 3))] {
+            for nan in [false, true] {
+                let mut sys = edge_case_system(l, h, nan);
+                let cells = CellList::build(sys.bbox, bin, &sys.pos);
+                assert_eq!(cells.shape(), shape);
+                let (e_ref, f_ref) = scalar_forces(&sys, &ff, &cells);
+                let e = compute_forces_with(&mut sys, &ff, &cells, &mut ForceScratch::new());
+                let case = format!("{l} nm box, nan {nan}");
+                assert_eq!(
+                    e.to_bits(),
+                    e_ref.to_bits(),
+                    "{case}: energy {e} vs {e_ref}"
+                );
+                for (i, (f, g)) in sys.force.iter().zip(&f_ref).enumerate() {
+                    for k in 0..3 {
+                        assert_eq!(
+                            f[k].to_bits(),
+                            g[k].to_bits(),
+                            "{case}: particle {i} axis {k}"
+                        );
+                    }
+                }
+                // The NaN x reaches every partner's x force; r² = NaN is
+                // clamped by the overlap guard, so the energy stays finite.
+                assert_eq!(sys.force.iter().any(|f| f[0].is_nan()), nan, "{case}");
+                assert!(e.is_finite(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_covers_both_cutoffs_and_the_zero_charge_sentinel() {
+        let ff = ForceField::default();
+        let sigma = 0.5;
+        let rc_lj = ff.lj_cutoff_factor * sigma;
+        // Exactly at the LJ cutoff only the Coulomb term is left.
+        assert_eq!(ff.pair(rc_lj * rc_lj, 0.0, 1.0, sigma), (0.0, 0.0));
+        assert_ne!(ff.pair(rc_lj * rc_lj, 1.0, 1.0, sigma).0, 0.0);
+        // Exactly at the Coulomb cutoff nothing is left.
+        let rc = ff.coulomb_cutoff;
+        assert_eq!(ff.pair(rc * rc, 1.0, -2.0, sigma), (0.0, 0.0));
     }
 
     #[test]

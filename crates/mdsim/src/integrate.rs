@@ -94,8 +94,14 @@ pub fn run(
     let mut potential;
     let mut traj = Trajectory::default();
 
-    // OU coefficients for the O-step of BAOAB.
+    // OU coefficients for the O-step of BAOAB: `c1` and, per particle,
+    // `c2 = sqrt((1 − c1²)·T/m)` (masses are fixed for the run).
     let c1 = (-integ.gamma * integ.dt).exp();
+    let c2: Vec<f64> = sys
+        .mass
+        .iter()
+        .map(|&m| ((1.0 - c1 * c1) * integ.temperature / m).sqrt())
+        .collect();
     let half_dt = 0.5 * integ.dt;
     let clamp_speed = |vel: &mut [crate::system::Vec3]| {
         if integ.max_speed <= 0.0 {
@@ -137,10 +143,9 @@ pub fn run(
             }
             // O: Ornstein-Uhlenbeck exact solve (skipped when gamma = 0 → NVE).
             if integ.gamma > 0.0 {
-                for i in 0..sys.len() {
-                    let c2 = ((1.0 - c1 * c1) * integ.temperature / sys.mass[i]).sqrt();
-                    for k in 0..3 {
-                        sys.vel[i][k] = c1 * sys.vel[i][k] + c2 * rng.gaussian();
+                for (v, &c2) in sys.vel.iter_mut().zip(&c2) {
+                    for vk in v.iter_mut() {
+                        *vk = c1 * *vk + c2 * rng.gaussian();
                     }
                 }
             }
@@ -157,7 +162,7 @@ pub fn run(
         // Force refresh (cell list rebuilt periodically).
         if step % integ.cell_rebuild_interval == 0 {
             let _sp = le_obs::span!("mdsim.celllist");
-            cells = CellList::build(sys.bbox, bin, &sys.pos);
+            cells.rebuild(&sys.pos);
         }
         {
             let _sp = le_obs::span!("mdsim.force");

@@ -79,3 +79,26 @@ impl std::error::Error for MdError {}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, MdError>;
+
+/// Central-difference forces `−∂E/∂r` of `energy` at `pos`: 6N energy
+/// evaluations, the oracle the unit tests check forces against.
+#[cfg(test)]
+pub(crate) fn numerical_forces(
+    pos: &[system::Vec3],
+    eps: f64,
+    energy: impl Fn(&[system::Vec3]) -> f64,
+) -> Vec<system::Vec3> {
+    let mut forces = vec![[0.0; 3]; pos.len()];
+    let mut work = pos.to_vec();
+    for i in 0..pos.len() {
+        for k in 0..3 {
+            work[i][k] = pos[i][k] + eps;
+            let e_hi = energy(&work);
+            work[i][k] = pos[i][k] - eps;
+            let e_lo = energy(&work);
+            work[i][k] = pos[i][k];
+            forces[i][k] = -(e_hi - e_lo) / (2.0 * eps);
+        }
+    }
+    forces
+}

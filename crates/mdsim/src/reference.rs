@@ -211,26 +211,6 @@ impl ReferencePotential {
             scf_iterations: iterations,
         }
     }
-
-    /// Numerical force on every atom (−∂E/∂r, central differences).
-    /// As with real DFT, forces cost ~6N energy evaluations — this is what
-    /// makes driving MD with the reference so expensive, and the NN
-    /// potential so valuable.
-    pub fn forces_numerical(&self, pos: &[Vec3], eps: f64) -> Vec<Vec3> {
-        let mut forces = vec![[0.0; 3]; pos.len()];
-        let mut work = pos.to_vec();
-        for i in 0..pos.len() {
-            for k in 0..3 {
-                work[i][k] = pos[i][k] + eps;
-                let e_hi = self.energy(&work).total;
-                work[i][k] = pos[i][k] - eps;
-                let e_lo = self.energy(&work).total;
-                work[i][k] = pos[i][k];
-                forces[i][k] = -(e_hi - e_lo) / (2.0 * eps);
-            }
-        }
-        forces
-    }
 }
 
 /// Generate a random compact cluster of `n` atoms with interatomic spacing
@@ -394,7 +374,7 @@ mod tests {
         let pot = ReferencePotential::default();
         let mut rng = Rng::new(76);
         let pos = random_cluster(5, 1.0, 1.4, &mut rng);
-        let forces = pot.forces_numerical(&pos, 1e-5);
+        let forces = crate::numerical_forces(&pos, 1e-5, |p| pot.energy(p).total);
         let e0 = pot.energy(&pos).total;
         let step = 1e-3;
         let norm: f64 = forces

@@ -73,9 +73,10 @@
 //! no workers at all and every helper runs its tasks in order on the
 //! caller, with no dispatch or wakeup cost on single-core hosts.
 //!
-//! The free functions ([`par_map_index`], [`par_map`], [`par_for_chunks`])
-//! delegate to the process-wide [`Pool::global`]. Tests that need to
-//! compare thread counts construct private pools with [`Pool::with_threads`].
+//! The free functions ([`par_for_each`], [`par_map_index`], [`par_map`],
+//! [`par_for_chunks`]) delegate to the process-wide [`Pool::global`]. Tests
+//! that need to compare thread counts construct private pools with
+//! [`Pool::with_threads`].
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -536,6 +537,14 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// [`Pool::par_for_each`] on the global pool.
+pub fn par_for_each<F>(n_tasks: usize, f: F)
+where
+    F: Fn(usize) + Sync,
+{
+    Pool::global().par_for_each(n_tasks, f)
 }
 
 /// [`Pool::par_map_index`] on the global pool.

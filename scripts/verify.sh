@@ -68,10 +68,13 @@ allows="$(printf '%s\n' "$lint_out" | sed -n 's/^le-lint: \([0-9]*\) lint:allow 
 # and at fixed widths of 4 and 7 workers: the committed hashes in
 # tests/golden_trajectories.rs pin both the numerics and the pool's
 # deterministic chunking (the training hash's 64-wide layers split their
-# products across the pool).
-echo "==> golden trajectories (LE_POOL_THREADS=1/4/7)"
+# products across the pool; the stencil-path MD hash splits its force
+# groups). At the same widths, tests/md_force_alloc.rs pins warm MD
+# force+rebuild steps at zero heap allocations.
+echo "==> golden trajectories + allocation-free MD force steps (LE_POOL_THREADS=1/4/7)"
 for threads in 1 4 7; do
   LE_POOL_THREADS=$threads cargo test -q --offline --test golden_trajectories
+  LE_POOL_THREADS=$threads cargo test -q --offline --test md_force_alloc
 done
 
 # Bench smoke: one timed sample through the two pool-parallelized hot paths

@@ -11,6 +11,7 @@
 
 use le_mdsim::forces::ForceField;
 use le_mdsim::integrate::{run, Integrator};
+use le_mdsim::nanoconfinement::{NanoParams, NanoSim, SimConfig};
 use le_mdsim::system::{SlabBox, Species, System};
 use le_netdyn::seir::{simulate, SeirConfig};
 use le_netdyn::{Population, PopulationConfig};
@@ -70,6 +71,91 @@ fn md_trajectory_hash() -> u64 {
     fold_f64s(&mut h, &traj.potential);
     fold_f64s(&mut h, &traj.kinetic);
     fold_f64s(&mut h, &traj.temperature);
+    h.finish()
+}
+
+/// 150 Langevin steps of a 300-particle system on the cell-list *stencil*
+/// path: the MD goldens above and below run 1-bin-wide boxes, which take
+/// the small-grid all-pairs path. The 12.5 nm cube holds 3 bins of
+/// 1.15 × 3.5 nm per axis; three species mix diameters (0.5, 0.6, 0.7 nm)
+/// and masses, and one is uncharged, so per-pair σ and the zero-charge
+/// sentinel both enter. 300 particles split the pair rows into 2 force
+/// groups, so the group merge runs on the pool at 4 and 7 threads.
+fn md_stencil_trajectory_hash() -> u64 {
+    let bbox = SlabBox::new(12.5, 12.5, 12.5).expect("valid box");
+    let mut sys = System::new(bbox);
+    let mut rng = Rng::new(77);
+    for (valency, diameter, mass) in [(1, 0.5, 1.0), (-1, 0.7, 1.5), (0, 0.6, 2.0)] {
+        sys.insert_species(
+            Species {
+                valency,
+                diameter,
+                mass,
+            },
+            100,
+            1.0,
+            &mut rng,
+        )
+        .expect("species fits");
+    }
+    sys.zero_momentum();
+
+    let ff = ForceField {
+        kappa: 0.8,
+        wall_sigma: 0.3,
+        ..Default::default()
+    };
+    let dt = 0.002;
+    let integ = Integrator {
+        dt,
+        gamma: 2.0,
+        temperature: 1.0,
+        max_speed: 0.02 / dt,
+        max_ke_per_particle: f64::INFINITY,
+        ..Default::default()
+    };
+    let traj = run(&mut sys, &ff, &integ, 150, 15, &mut rng, |_, _| {}).expect("stable run");
+
+    let mut h = Fnv::new();
+    for p in &sys.pos {
+        fold_f64s(&mut h, p);
+    }
+    for v in &sys.vel {
+        fold_f64s(&mut h, v);
+    }
+    fold_f64s(&mut h, &traj.potential);
+    fold_f64s(&mut h, &traj.kinetic);
+    fold_f64s(&mut h, &traj.temperature);
+    h.finish()
+}
+
+/// One `NanoSim::run` at the perfbench `campaign_md` fidelity (lateral
+/// 2.5 nm, 100 equilibration + 400 production steps) for a 3:2 salt; hash
+/// of the three learned densities, the full profile with its standard
+/// errors, the particle count and the mean temperature.
+fn nanosim_campaign_hash() -> u64 {
+    let config = SimConfig {
+        equil_steps: 100,
+        prod_steps: 400,
+        sample_interval: 10,
+        snapshots_per_block: 5,
+        lateral: 2.5,
+        ..SimConfig::fast()
+    };
+    let params = NanoParams {
+        h: 3.0,
+        z_p: 3,
+        z_n: 2,
+        c: 0.6,
+        d: 0.6,
+    };
+    let (out, stats) = NanoSim::new(config).run(&params, 5).expect("stable run");
+    let mut h = Fnv::new();
+    fold_f64s(&mut h, &out.to_vec());
+    fold_f64s(&mut h, &stats.profile);
+    fold_f64s(&mut h, &stats.profile_se);
+    h.u64(stats.n_particles as u64);
+    h.f64(stats.mean_temperature);
     h.finish()
 }
 
@@ -138,6 +224,12 @@ fn training_hash() -> u64 {
 /// Committed baseline: 200-step nanoconfinement-style MD trajectory.
 const GOLDEN_MD_HASH: u64 = 0x0987_f3ad_7767_956c;
 
+/// Committed baseline: 150-step MD trajectory on the stencil path.
+const GOLDEN_MD_STENCIL_HASH: u64 = 0x3471_5f1c_8b12_832a;
+
+/// Committed baseline: one `NanoSim::run` at the `campaign_md` fidelity.
+const GOLDEN_NANOSIM_CAMPAIGN_HASH: u64 = 0xe887_2e52_c718_edec;
+
 /// Committed baseline: seeded SEIR epidemic curve.
 const GOLDEN_EPIDEMIC_HASH: u64 = 0x65d2_c945_05f1_c856;
 
@@ -158,6 +250,29 @@ fn md_trajectory_matches_golden_hash() {
 #[test]
 fn md_trajectory_hash_is_reproducible_in_process() {
     assert_eq!(md_trajectory_hash(), md_trajectory_hash());
+}
+
+#[test]
+fn md_stencil_trajectory_matches_golden_hash() {
+    let h = md_stencil_trajectory_hash();
+    println!("md stencil trajectory hash: {h:#018x}");
+    assert_eq!(
+        h, GOLDEN_MD_STENCIL_HASH,
+        "stencil-path MD trajectory diverged from the committed baseline (got {h:#018x}); \
+         if the numerical change is intentional, re-baseline GOLDEN_MD_STENCIL_HASH"
+    );
+}
+
+#[test]
+fn nanosim_campaign_run_matches_golden_hash() {
+    let h = nanosim_campaign_hash();
+    println!("nanosim campaign hash: {h:#018x}");
+    assert_eq!(
+        h, GOLDEN_NANOSIM_CAMPAIGN_HASH,
+        "NanoSim run at the campaign fidelity diverged from the committed baseline \
+         (got {h:#018x}); if the numerical change is intentional, re-baseline \
+         GOLDEN_NANOSIM_CAMPAIGN_HASH"
+    );
 }
 
 #[test]
