@@ -4,7 +4,7 @@
 
 use le_bench::{md_row, BENCH_SEED};
 use le_linalg::{Matrix, Rng};
-use le_nn::{Activation, MlpConfig, TrainConfig};
+use le_nn::{MlpConfig, TrainConfig};
 use le_uq::{calibration_error, DeepEnsemble, McDropout, Prediction, UncertainModel};
 
 fn dataset(n: usize, noise: f64, seed: u64) -> (Matrix, Matrix) {
@@ -41,12 +41,7 @@ fn main() {
     for &rate in &[0.05, 0.1, 0.2, 0.35, 0.5] {
         let mut rng = Rng::new(BENCH_SEED ^ (rate * 100.0) as u64);
         let mut net = le_nn::Mlp::new(
-            MlpConfig {
-                layers: vec![2, 64, 64, 1],
-                hidden_activation: Activation::Tanh,
-                output_activation: Activation::Identity,
-                dropout: rate,
-            },
+            MlpConfig::regression_with_dropout(&[2, 64, 64, 1], rate),
             &mut rng,
         )
         .expect("valid");
@@ -79,7 +74,6 @@ fn main() {
         &x_train,
         &y_train,
         5,
-        true,
         BENCH_SEED,
     )
     .expect("trains");

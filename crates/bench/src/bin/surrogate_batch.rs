@@ -33,7 +33,7 @@ use le_bench::timing::Harness;
 use le_bench::{nano_dataset, nano_surrogate, BENCH_SEED};
 use le_linalg::{Fnv, Rng};
 use le_mdsim::nanoconfinement::NanoParams;
-use le_nn::{Activation, Scaler};
+use le_nn::Scaler;
 use learning_everywhere::surrogate::NnSurrogate;
 use std::time::Instant;
 
@@ -53,8 +53,8 @@ use std::time::Instant;
 /// * mean/std use the seed's sum/sum-of-squares reduction.
 struct FrozenSeedSurrogate {
     /// Per layer: natural-layout weights `(in, out)` flattened row-major,
-    /// `(in_dim, out_dim)`, bias, and whether the activation is tanh.
-    layers: Vec<(Vec<f64>, usize, usize, Vec<f64>, bool)>,
+    /// `(in_dim, out_dim)` and bias. Every layer but the last is tanh.
+    layers: Vec<(Vec<f64>, usize, usize, Vec<f64>)>,
     drop_rate: f64,
     mc_samples: usize,
     x_scaler: Scaler,
@@ -68,15 +68,7 @@ impl FrozenSeedSurrogate {
             .model()
             .layers()
             .iter()
-            .map(|d| {
-                (
-                    d.w.as_slice().to_vec(),
-                    d.w.rows(),
-                    d.w.cols(),
-                    d.b.clone(),
-                    d.activation == Activation::Tanh,
-                )
-            })
+            .map(|d| (d.w.as_slice().to_vec(), d.w.rows(), d.w.cols(), d.b.clone()))
             .collect();
         Self {
             layers,
@@ -116,8 +108,9 @@ impl FrozenSeedSurrogate {
     fn predict(&self, input: &[f64]) -> Vec<f64> {
         let mut cur = input.to_vec();
         self.x_scaler.transform_slice(&mut cur).expect("probe row");
-        for (w, _in_dim, out_dim, b, tanh) in &self.layers {
-            cur = Self::layer_forward(&cur, w, *out_dim, b, *tanh);
+        let last = self.layers.len() - 1;
+        for (l, (w, _in_dim, out_dim, b)) in self.layers.iter().enumerate() {
+            cur = Self::layer_forward(&cur, w, *out_dim, b, l < last);
         }
         self.y_scaler
             .inverse_transform_slice(&mut cur)
@@ -140,8 +133,8 @@ impl FrozenSeedSurrogate {
         let last = self.layers.len() - 1;
         for _ in 0..n {
             let mut cur = x.clone();
-            for (l, (w, _in_dim, od, b, tanh)) in self.layers.iter().enumerate() {
-                cur = Self::layer_forward(&cur, w, *od, b, *tanh);
+            for (l, (w, _in_dim, od, b)) in self.layers.iter().enumerate() {
+                cur = Self::layer_forward(&cur, w, *od, b, l < last);
                 if l < last {
                     // The old Dropout::forward: a fresh mask matrix plus a
                     // hadamard product per pass.

@@ -20,7 +20,7 @@
 //! the backend that realizes the paper's data-reduction claim.
 
 use le_linalg::{Matrix, Rng};
-use le_nn::{Activation, MlpConfig, Optimizer, Scaler, TrainConfig};
+use le_nn::{MlpConfig, Scaler, TrainConfig};
 
 use le_uq::{select_batch, AcquisitionStrategy, DeepEnsemble, Prediction, UncertainModel};
 
@@ -145,20 +145,14 @@ impl EnsembleSurrogate {
         let mut layers = vec![x.cols()];
         layers.extend_from_slice(&config.hidden);
         layers.push(y.cols());
-        let mlp_config = MlpConfig {
-            layers,
-            hidden_activation: Activation::Tanh,
-            output_activation: Activation::Identity,
-            dropout: 0.0, // ensembles need no dropout
-        };
+        let mlp_config = MlpConfig::regression(&layers); // ensembles need no dropout
         let train_config = TrainConfig {
             epochs: config.epochs,
-            optimizer: Optimizer::adam(config.lr),
+            lr: config.lr,
             ..Default::default()
         };
-        let ensemble =
-            DeepEnsemble::train(&mlp_config, &train_config, &xs, &ys, members, true, seed)
-                .map_err(|e| LeError::Model(e.to_string()))?;
+        let ensemble = DeepEnsemble::train(&mlp_config, &train_config, &xs, &ys, members, seed)
+            .map_err(|e| LeError::Model(e.to_string()))?;
         Ok(Self {
             ensemble,
             x_scaler,

@@ -15,7 +15,7 @@
 use std::cell::RefCell;
 
 use le_linalg::{Matrix, Rng};
-use le_nn::{BatchScratch, Mlp, MlpConfig, Optimizer, Scaler, TrainConfig, Trainer};
+use le_nn::{BatchScratch, Mlp, MlpConfig, Scaler, TrainConfig, Trainer};
 use le_uq::{Prediction, UncertainModel};
 
 use crate::{LeError, Result};
@@ -111,7 +111,7 @@ impl NnSurrogate {
         .map_err(|e| LeError::Model(e.to_string()))?;
         Trainer::new(TrainConfig {
             epochs: config.epochs,
-            optimizer: Optimizer::adam(config.lr),
+            lr: config.lr,
             seed: config.seed ^ 0xDADA,
             ..Default::default()
         })

@@ -20,7 +20,7 @@
 use le_linalg::{Matrix, Rng};
 use le_pool as pool;
 use le_nn::optimizer::OptimizerState;
-use le_nn::{Loss, Mlp, MlpConfig, Optimizer, Scaler};
+use le_nn::{loss, Mlp, MlpConfig, Scaler};
 
 use crate::epifast::EpiFast;
 use crate::population::Population;
@@ -248,8 +248,7 @@ impl TwoBranchNet {
         .map_err(|e| NetError::Internal(e.to_string()))?;
 
         let n_blocks = branch_a.n_param_blocks() + branch_b.n_param_blocks() + head.n_param_blocks();
-        let mut opt = OptimizerState::new(Optimizer::adam(cfg.lr), n_blocks);
-        let loss = Loss::Mse;
+        let mut opt = OptimizerState::new(cfg.lr, n_blocks);
         let n = xa_s.rows();
         let mut order: Vec<usize> = (0..n).collect();
         let mut drop_rng = rng.split();
@@ -271,8 +270,7 @@ impl TwoBranchNet {
                 let pred = head
                     .forward_train(&fused, &mut drop_rng)
                     .map_err(|e| NetError::Internal(e.to_string()))?;
-                let (_, grad) = loss
-                    .evaluate(&pred, &y_batch)
+                let (_, grad) = loss::mse(&pred, &y_batch)
                     .map_err(|e| NetError::Internal(e.to_string()))?;
                 // Backward: head → split → branches.
                 let grad_fused = head

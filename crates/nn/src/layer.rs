@@ -9,17 +9,12 @@ use le_linalg::{Matrix, Rng};
 
 use crate::{NnError, Result};
 
-/// Element-wise activation functions.
+/// The element-wise activations of the workspace's MLPs: tanh on every
+/// hidden layer, identity on the output layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
-    /// max(0, x) — default for hidden layers; pairs with He init.
-    Relu,
-    /// Leaky ReLU with slope 0.01 for x < 0.
-    LeakyRelu,
     /// Hyperbolic tangent — what the companion papers' Keras nets use.
     Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
     /// Identity (no-op) — output layers of regression nets.
     Identity,
 }
@@ -29,45 +24,19 @@ impl Activation {
     #[inline]
     pub fn apply(self, x: f64) -> f64 {
         match self {
-            Activation::Relu => x.max(0.0),
-            Activation::LeakyRelu => {
-                if x >= 0.0 {
-                    x
-                } else {
-                    0.01 * x
-                }
-            }
             // Hermetic rational tanh (not libm): bit-stable across hosts
             // and vectorizable inside the batch engine's activation loop;
             // max error vs libm is 2.6e-8 — see [`crate::math::tanh`].
             Activation::Tanh => crate::math::tanh(x),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Identity => x,
         }
     }
 
-    /// Derivative expressed in terms of the *output* value `y = f(x)` where
-    /// possible (tanh, sigmoid) and the input `x` otherwise. Both are
-    /// supplied so each variant can use whichever is exact.
+    /// Derivative expressed in terms of the *output* value `y = f(x)`.
     #[inline]
-    pub fn derivative(self, x: f64, y: f64) -> f64 {
+    pub fn derivative(self, y: f64) -> f64 {
         match self {
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::LeakyRelu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.01
-                }
-            }
             Activation::Tanh => 1.0 - y * y,
-            Activation::Sigmoid => y * (1.0 - y),
             Activation::Identity => 1.0,
         }
     }
@@ -89,28 +58,19 @@ pub struct Dense {
     pub grad_b: Vec<f64>,
     // Cached forward state.
     input: Option<Matrix>,
-    pre_act: Option<Matrix>,
     post_act: Option<Matrix>,
 }
 
 impl Dense {
-    /// New dense layer with activation-appropriate initialization:
-    /// He-uniform for ReLU-family, Xavier-uniform otherwise.
+    /// New dense layer with Xavier-uniform initialization.
     pub fn new(in_dim: usize, out_dim: usize, activation: Activation, rng: &mut Rng) -> Self {
-        let w = match activation {
-            Activation::Relu | Activation::LeakyRelu => {
-                Matrix::he_uniform(in_dim, out_dim, in_dim, rng)
-            }
-            _ => Matrix::xavier_uniform(in_dim, out_dim, in_dim, out_dim, rng),
-        };
         Self {
-            w,
+            w: Matrix::xavier_uniform(in_dim, out_dim, in_dim, out_dim, rng),
             b: vec![0.0; out_dim],
             activation,
             grad_w: Matrix::zeros(in_dim, out_dim),
             grad_b: vec![0.0; out_dim],
             input: None,
-            pre_act: None,
             post_act: None,
         }
     }
@@ -125,24 +85,13 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Forward pass for a batch; caches state for `backward`.
+    /// Forward pass for a batch: [`Dense::infer`], caching the input and
+    /// output for `backward`.
     pub fn forward(&mut self, x: &Matrix) -> Result<Matrix> {
-        if x.cols() != self.in_dim() {
-            return Err(NnError::Shape(format!(
-                "dense layer expects {} features, got {}",
-                self.in_dim(),
-                x.cols()
-            )));
-        }
-        let mut z = x.matmul(&self.w).map_err(|e| NnError::Shape(e.to_string()))?;
-        z.add_row_broadcast(&self.b)
-            .map_err(|e| NnError::Shape(e.to_string()))?;
-        let act = self.activation;
-        let a = z.map(|v| act.apply(v));
+        let y = self.infer(x)?;
         self.input = Some(x.clone());
-        self.pre_act = Some(z);
-        self.post_act = Some(a.clone());
-        Ok(a)
+        self.post_act = Some(y.clone());
+        Ok(y)
     }
 
     /// Inference-only forward: no caching, no allocation of gradient state.
@@ -169,10 +118,6 @@ impl Dense {
             .input
             .take()
             .ok_or_else(|| NnError::Shape("backward without forward".into()))?;
-        let pre = self
-            .pre_act
-            .take()
-            .ok_or_else(|| NnError::Shape("backward without forward".into()))?;
         let post = self
             .post_act
             .take()
@@ -184,16 +129,11 @@ impl Dense {
                 post.shape()
             )));
         }
-        // dL/dz = dL/dy * f'(z)
+        // dL/dz = dL/dy * f'(z), with f' read off the output y = f(z)
         let act = self.activation;
         let mut grad_z = grad_out.clone();
-        {
-            let gz = grad_z.as_mut_slice();
-            let zs = pre.as_slice();
-            let ys = post.as_slice();
-            for ((g, &z), &y) in gz.iter_mut().zip(zs.iter()).zip(ys.iter()) {
-                *g *= act.derivative(z, y);
-            }
+        for (g, &y) in grad_z.as_mut_slice().iter_mut().zip(post.as_slice()) {
+            *g *= act.derivative(y);
         }
         // dL/dW = x^T dL/dz ; dL/db = column sums of dL/dz ; dL/dx = dL/dz W^T
         self.grad_w = input
@@ -252,12 +192,6 @@ impl Dropout {
         out
     }
 
-    /// Deterministic forward (standard inference): identity under inverted
-    /// dropout.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        x.clone()
-    }
-
     /// Backward: gradient flows only through kept units, with the same
     /// scaling.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
@@ -306,11 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_gradient_matches_finite_difference_sigmoid() {
-        finite_diff_check(Activation::Sigmoid);
-    }
-
-    #[test]
     fn dense_gradient_matches_finite_difference_identity() {
         finite_diff_check(Activation::Identity);
     }
@@ -330,7 +259,7 @@ mod tests {
     #[test]
     fn forward_shape_validation() {
         let mut rng = Rng::new(502);
-        let mut layer = Dense::new(3, 2, Activation::Relu, &mut rng);
+        let mut layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
         let bad = Matrix::zeros(1, 4);
         assert!(layer.forward(&bad).is_err());
         assert!(layer.infer(&bad).is_err());
@@ -339,7 +268,7 @@ mod tests {
     #[test]
     fn backward_without_forward_errors() {
         let mut rng = Rng::new(503);
-        let mut layer = Dense::new(2, 2, Activation::Relu, &mut rng);
+        let mut layer = Dense::new(2, 2, Activation::Tanh, &mut rng);
         assert!(layer.backward(&Matrix::zeros(1, 2)).is_err());
     }
 
@@ -353,14 +282,6 @@ mod tests {
         for (a, b) in f.as_slice().iter().zip(i.as_slice()) {
             assert!((a - b).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn relu_kills_negative() {
-        assert_eq!(Activation::Relu.apply(-3.0), 0.0);
-        assert_eq!(Activation::Relu.apply(2.0), 2.0);
-        assert_eq!(Activation::Relu.derivative(-1.0, 0.0), 0.0);
-        assert_eq!(Activation::Relu.derivative(1.0, 1.0), 1.0);
     }
 
     #[test]
@@ -391,7 +312,6 @@ mod tests {
         let mut d = Dropout::new(0.0).unwrap();
         let x = Matrix::from_rows(&[&[1.0, -2.0, 3.0]]);
         assert_eq!(d.forward(&x, &mut rng), x);
-        assert_eq!(d.infer(&x), x);
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! the MLautotuning net (6 inputs → hidden 30 → hidden 48 → 3 outputs,
 //! ref \[9\]). This crate implements exactly that function class with:
 //!
-//! * dense layers with He/Xavier initialization ([`layer`]),
-//! * tanh/ReLU/sigmoid/identity activations,
+//! * dense layers with Xavier initialization ([`layer`]),
+//! * tanh hidden layers and an identity output,
 //! * inverted dropout usable at inference time for MC-dropout UQ (§III-B),
-//! * MSE and Huber losses ([`loss`]),
-//! * SGD, momentum, and Adam optimizers ([`optimizer`]),
-//! * a mini-batch trainer with shuffling, validation split and early
-//!   stopping ([`train`]),
+//! * the MSE loss ([`loss`]),
+//! * the Adam optimizer ([`optimizer`]),
+//! * a mini-batch trainer with shuffling, validation split, early
+//!   stopping and a global-norm gradient clip ([`train`]),
 //! * feature/target standardization ([`scaler`]).
 //!
 //! Determinism: every stochastic element (init, shuffling, dropout masks)
@@ -33,10 +33,7 @@ pub mod scaler;
 pub mod train;
 
 pub use batch::BatchScratch;
-pub use layer::Activation;
-pub use loss::Loss;
 pub use model::{Mlp, MlpConfig};
-pub use optimizer::Optimizer;
 pub use scaler::Scaler;
 pub use train::{TrainConfig, TrainReport, Trainer};
 

@@ -1,46 +1,38 @@
 //! The multi-layer perceptron used for every surrogate in the workspace.
 //!
-//! An [`Mlp`] is a stack of dense layers with a shared hidden activation, an
-//! output activation (identity for regression), and optional inverted
-//! dropout after each hidden layer. The MC-dropout UQ of §III-B keeps that
-//! dropout active at inference; it runs on the fused engine in
-//! [`crate::batch`], which packs a snapshot of this model's weights.
+//! An [`Mlp`] is a stack of dense layers — tanh on every hidden layer,
+//! identity on the output — with optional inverted dropout after each
+//! hidden layer. The MC-dropout UQ of §III-B keeps that dropout active at
+//! inference; it runs on the fused engine in [`crate::batch`], which packs
+//! a snapshot of this model's weights.
 
 use le_linalg::{Matrix, Rng};
 
 use crate::layer::{Activation, Dense, Dropout};
 use crate::{NnError, Result};
 
-/// Architecture and regularization for an [`Mlp`].
+/// Architecture and regularization for an [`Mlp`]: tanh hidden layers and
+/// an identity output — the architecture family used by the companion
+/// papers (refs [9], [26]).
 #[derive(Debug, Clone)]
 pub struct MlpConfig {
     /// Layer widths, `[input, hidden..., output]`; must have ≥ 2 entries.
     pub layers: Vec<usize>,
-    /// Activation for the hidden layers.
-    pub hidden_activation: Activation,
-    /// Activation for the output layer (identity for regression).
-    pub output_activation: Activation,
     /// Dropout probability applied after each hidden layer; 0 disables.
     pub dropout: f64,
 }
 
 impl MlpConfig {
-    /// Regression-net config: tanh hidden layers, identity output — the
-    /// architecture family used by the companion papers (refs [9], [26]).
+    /// Regression net of the given widths, without dropout.
     pub fn regression(layers: &[usize]) -> Self {
-        Self {
-            layers: layers.to_vec(),
-            hidden_activation: Activation::Tanh,
-            output_activation: Activation::Identity,
-            dropout: 0.0,
-        }
+        Self::regression_with_dropout(layers, 0.0)
     }
 
     /// Same but with dropout for MC-dropout UQ.
     pub fn regression_with_dropout(layers: &[usize], dropout: f64) -> Self {
         Self {
+            layers: layers.to_vec(),
             dropout,
-            ..Self::regression(layers)
         }
     }
 
@@ -80,9 +72,9 @@ impl Mlp {
         let mut dropout = Vec::with_capacity(n_layers.saturating_sub(1));
         for i in 0..n_layers {
             let act = if i + 1 == n_layers {
-                config.output_activation
+                Activation::Identity
             } else {
-                config.hidden_activation
+                Activation::Tanh
             };
             dense.push(Dense::new(config.layers[i], config.layers[i + 1], act, rng));
             if i + 1 < n_layers {
@@ -180,24 +172,29 @@ impl Mlp {
         }
     }
 
-    /// L2 norm of the most recent gradient (diagnostic / clipping).
-    pub fn grad_norm(&self) -> f64 {
+    /// Scale the most recent gradient down to global L2 norm `max_norm`
+    /// if it is longer.
+    pub(crate) fn clip_grad_norm(&mut self, max_norm: f64) {
         let mut ss = 0.0;
         for layer in &self.dense {
             ss += layer.grad_w.as_slice().iter().map(|g| g * g).sum::<f64>();
             ss += layer.grad_b.iter().map(|g| g * g).sum::<f64>();
         }
-        ss.sqrt()
+        let norm = ss.sqrt();
+        if norm > max_norm {
+            let scale = max_norm / norm;
+            for layer in &mut self.dense {
+                layer.grad_w.scale_mut(scale);
+                for g in &mut layer.grad_b {
+                    *g *= scale;
+                }
+            }
+        }
     }
 
-    /// Immutable view of the dense layers (serialization, inspection).
+    /// Immutable view of the dense layers (inspection, weight packing).
     pub fn layers(&self) -> &[Dense] {
         &self.dense
-    }
-
-    /// Mutable view of the dense layers (deserialization fills weights).
-    pub(crate) fn layers_mut(&mut self) -> &mut [Dense] {
-        &mut self.dense
     }
 }
 

@@ -1,12 +1,15 @@
 //! Mini-batch training loop with shuffling, validation split, early
-//! stopping, and gradient clipping.
+//! stopping, and gradient clipping: Adam on the MSE loss.
 
 use le_linalg::{Matrix, Rng};
 
-use crate::loss::Loss;
+use crate::loss;
 use crate::model::Mlp;
-use crate::optimizer::{Optimizer, OptimizerState};
+use crate::optimizer::OptimizerState;
 use crate::{NnError, Result};
+
+/// Every step clips the global gradient norm to this value.
+const GRAD_CLIP: f64 = 10.0;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone)]
@@ -15,17 +18,13 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Optimizer rule.
-    pub optimizer: Optimizer,
-    /// Loss function.
-    pub loss: Loss,
+    /// Adam learning rate.
+    pub lr: f64,
     /// Fraction of the data held out for validation (0 disables).
     pub validation_fraction: f64,
     /// Stop if validation loss has not improved for this many epochs
     /// (`None` disables early stopping).
     pub patience: Option<usize>,
-    /// Clip the global gradient norm to this value (`None` disables).
-    pub grad_clip: Option<f64>,
     /// Seed for shuffling, dropout, and the validation split.
     pub seed: u64,
 }
@@ -35,11 +34,9 @@ impl Default for TrainConfig {
         Self {
             epochs: 200,
             batch_size: 32,
-            optimizer: Optimizer::adam(1e-3),
-            loss: Loss::Mse,
+            lr: 1e-3,
             validation_fraction: 0.15,
             patience: Some(25),
-            grad_clip: Some(10.0),
             seed: 0,
         }
     }
@@ -123,7 +120,7 @@ impl Trainer {
             (None, None)
         };
 
-        let mut opt = OptimizerState::new(cfg.optimizer, model.n_param_blocks());
+        let mut opt = OptimizerState::new(cfg.lr, model.n_param_blocks());
         let mut report = TrainReport {
             train_loss: Vec::with_capacity(cfg.epochs),
             val_loss: Vec::with_capacity(cfg.epochs),
@@ -145,25 +142,14 @@ impl Trainer {
                 let xb = x_train.gather_rows(chunk);
                 let yb = y_train.gather_rows(chunk);
                 let pred = model.forward_train(&xb, &mut rng)?;
-                let (loss, grad) = cfg.loss.evaluate(&pred, &yb)?;
+                let (batch_loss, grad) = loss::mse(&pred, &yb)?;
                 model.backward(&grad)?;
-                if let Some(clip) = cfg.grad_clip {
-                    let norm = model.grad_norm();
-                    if norm > clip {
-                        let scale = clip / norm;
-                        for layer in model.layers_mut() {
-                            layer.grad_w.scale_mut(scale);
-                            for g in &mut layer.grad_b {
-                                *g *= scale;
-                            }
-                        }
-                    }
-                }
+                model.clip_grad_norm(GRAD_CLIP);
                 opt.begin_step();
                 model.for_each_param_block(|block, params, grads| {
                     opt.update_slice(block, params, grads);
                 });
-                epoch_loss += loss;
+                epoch_loss += batch_loss;
                 batches += 1;
             }
             epoch_loss /= batches.max(1) as f64;
@@ -173,7 +159,7 @@ impl Trainer {
             // Validation / early stopping.
             let monitored = if let (Some(xv), Some(yv)) = (&x_val, &y_val) {
                 let pred = model.predict(xv)?;
-                let vl = cfg.loss.value(&pred, yv)?;
+                let vl = loss::mse_value(&pred, yv)?;
                 report.val_loss.push(vl);
                 vl
             } else {
@@ -236,7 +222,7 @@ mod tests {
         let mut model = Mlp::new(MlpConfig::regression(&[2, 16, 1]), &mut rng).unwrap();
         let trainer = Trainer::new(TrainConfig {
             epochs: 500,
-            optimizer: Optimizer::adam(5e-3),
+            lr: 5e-3,
             patience: Some(80),
             ..Default::default()
         });
@@ -256,7 +242,7 @@ mod tests {
         let trainer = Trainer::new(TrainConfig {
             epochs: 400,
             batch_size: 64,
-            optimizer: Optimizer::adam(3e-3),
+            lr: 3e-3,
             patience: Some(60),
             ..Default::default()
         });
@@ -301,7 +287,7 @@ mod tests {
         let trainer = Trainer::new(TrainConfig {
             epochs: 2000,
             batch_size: 8,
-            optimizer: Optimizer::adam(1e-2),
+            lr: 1e-2,
             validation_fraction: 0.3,
             patience: Some(10),
             ..Default::default()
@@ -372,6 +358,42 @@ mod tests {
     }
 
     #[test]
+    fn one_step_clips_the_gradient_norm_to_ten_then_takes_an_adam_step() {
+        // A 1→1 identity net on one row: the raw gradient (x·g, g) with
+        // g = 2(p - t) has norm ≈ 630, so the step must clip it to 10.
+        let (x0, t, lr) = (3.0, 100.0, 0.05);
+        let mut model = Mlp::new(MlpConfig::regression(&[1, 1]), &mut Rng::new(16)).unwrap();
+        let (w0, b0) = (model.layers()[0].w.get(0, 0), model.layers()[0].b[0]);
+        let trainer = Trainer::new(TrainConfig {
+            epochs: 1,
+            lr,
+            validation_fraction: 0.0,
+            patience: None,
+            ..Default::default()
+        });
+        let x = Matrix::from_rows(&[&[x0]]);
+        let y = Matrix::from_rows(&[&[t]]);
+        trainer.fit(&mut model, &x, &y).unwrap();
+
+        // The same step by hand, in the trainer's float operations.
+        let g = 2.0 * ((x0 * w0 + b0) - t) / 1.0;
+        let (gw, gb) = (x0 * g, g);
+        let norm = (0.0 + gw * gw + gb * gb).sqrt();
+        assert!(norm > 10.0, "raw gradient norm {norm} must exceed the clip");
+        let scale = 10.0 / norm;
+        let adam = |p: f64, g: f64| {
+            let (beta1, beta2): (f64, f64) = (0.9, 0.999);
+            let m_hat = (beta1 * 0.0 + (1.0 - beta1) * g) / (1.0 - beta1.powi(1));
+            let v_hat = (beta2 * 0.0 + (1.0 - beta2) * g * g) / (1.0 - beta2.powi(1));
+            p - lr * m_hat / (v_hat.sqrt() + 1e-8)
+        };
+        let (w1, b1) = (adam(w0, gw * scale), adam(b0, gb * scale));
+        let (w, b) = (model.layers()[0].w.get(0, 0), model.layers()[0].b[0]);
+        assert_eq!(w.to_bits(), w1.to_bits(), "w: {w} vs {w1}");
+        assert_eq!(b.to_bits(), b1.to_bits(), "b: {b} vs {b1}");
+    }
+
+    #[test]
     fn dropout_training_still_converges() {
         let (x, y) = make_dataset(512, |a, b| a - b, 0.02, 14);
         let mut rng = Rng::new(15);
@@ -379,7 +401,7 @@ mod tests {
             Mlp::new(MlpConfig::regression_with_dropout(&[2, 32, 1], 0.1), &mut rng).unwrap();
         let trainer = Trainer::new(TrainConfig {
             epochs: 300,
-            optimizer: Optimizer::adam(3e-3),
+            lr: 3e-3,
             ..Default::default()
         });
         let report = trainer.fit(&mut model, &x, &y).unwrap();

@@ -1,7 +1,7 @@
 //! Deep ensembles: "averaging trained instances of an originally complex
 //! model" (§III-B). Members are identically configured networks with
-//! independent initializations, trained on the same data (optionally
-//! bootstrap-resampled); the member spread estimates epistemic uncertainty.
+//! independent initializations, each trained on its own bootstrap resample
+//! of the data; the member spread estimates epistemic uncertainty.
 //!
 //! Members train in parallel on scoped threads — each member carries its own RNG
 //! split up front so the result is identical at any thread count.
@@ -21,17 +21,15 @@ pub struct DeepEnsemble {
 impl DeepEnsemble {
     /// Train `n_members` networks of architecture `config` on `(x, y)`.
     ///
-    /// With `bootstrap = true` each member sees a bootstrap resample of the
-    /// data (bagging), increasing member diversity. Training is
-    /// embarrassingly parallel and deterministic: member `i` trains with
-    /// seed `seed + i`.
+    /// Each member sees a bootstrap resample of the data (bagging), which
+    /// increases member diversity. Training is embarrassingly parallel and
+    /// deterministic: member `i` trains with seed `seed + i`.
     pub fn train(
         config: &MlpConfig,
         train_config: &TrainConfig,
         x: &Matrix,
         y: &Matrix,
         n_members: usize,
-        bootstrap: bool,
         seed: u64,
     ) -> le_nn::Result<Self> {
         if n_members == 0 {
@@ -43,13 +41,9 @@ impl DeepEnsemble {
             pool::par_map_index(n_members, |i| {
                 let member_seed = seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
                 let mut rng = Rng::new(member_seed);
-                let (xi, yi) = if bootstrap {
-                    let n = x.rows();
-                    let idx: Vec<usize> = (0..n).map(|_| rng.below(n)).collect();
-                    (x.gather_rows(&idx), y.gather_rows(&idx))
-                } else {
-                    (x.clone(), y.clone())
-                };
+                let n = x.rows();
+                let idx: Vec<usize> = (0..n).map(|_| rng.below(n)).collect();
+                let (xi, yi) = (x.gather_rows(&idx), y.gather_rows(&idx));
                 let mut model = Mlp::new(config.clone(), &mut rng)?;
                 let trainer = Trainer::new(TrainConfig {
                     seed: member_seed ^ 0xABCD,
@@ -134,7 +128,6 @@ impl UncertainModel for DeepEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use le_nn::Activation;
 
     fn dataset(n: usize, seed: u64) -> (Matrix, Matrix) {
         let mut rng = Rng::new(seed);
@@ -150,12 +143,7 @@ mod tests {
 
     fn quick_config() -> (MlpConfig, TrainConfig) {
         (
-            MlpConfig {
-                layers: vec![1, 16, 1],
-                hidden_activation: Activation::Tanh,
-                output_activation: Activation::Identity,
-                dropout: 0.0,
-            },
+            MlpConfig::regression(&[1, 16, 1]),
             TrainConfig {
                 epochs: 80,
                 patience: None,
@@ -169,7 +157,7 @@ mod tests {
     fn ensemble_learns_and_members_differ() {
         let (x, y) = dataset(256, 31);
         let (mc, tc) = quick_config();
-        let ens = DeepEnsemble::train(&mc, &tc, &x, &y, 4, false, 100).unwrap();
+        let ens = DeepEnsemble::train(&mc, &tc, &x, &y, 4, 100).unwrap();
         assert_eq!(ens.len(), 4);
         // Accurate in-distribution.
         let p = ens.predict_batch(&Matrix::from_rows(&[&[0.5]]));
@@ -191,7 +179,7 @@ mod tests {
     fn extrapolation_uncertainty_exceeds_interpolation() {
         let (x, y) = dataset(256, 32);
         let (mc, tc) = quick_config();
-        let ens = DeepEnsemble::train(&mc, &tc, &x, &y, 5, true, 200).unwrap();
+        let ens = DeepEnsemble::train(&mc, &tc, &x, &y, 5, 200).unwrap();
         let p = ens.predict_batch(&Matrix::from_rows(&[&[0.0], &[5.0]]));
         assert!(
             p[1].std[0] > p[0].std[0],
@@ -205,7 +193,7 @@ mod tests {
     fn single_member_has_zero_std() {
         let (x, y) = dataset(64, 33);
         let (mc, tc) = quick_config();
-        let ens = DeepEnsemble::train(&mc, &tc, &x, &y, 1, false, 300).unwrap();
+        let ens = DeepEnsemble::train(&mc, &tc, &x, &y, 1, 300).unwrap();
         let p = ens.predict_batch(&Matrix::from_rows(&[&[0.3]]));
         assert_eq!(p[0].std[0], 0.0);
     }
@@ -214,15 +202,15 @@ mod tests {
     fn zero_members_rejected() {
         let (x, y) = dataset(16, 34);
         let (mc, tc) = quick_config();
-        assert!(DeepEnsemble::train(&mc, &tc, &x, &y, 0, false, 1).is_err());
+        assert!(DeepEnsemble::train(&mc, &tc, &x, &y, 0, 1).is_err());
     }
 
     #[test]
     fn training_is_deterministic_across_invocations() {
         let (x, y) = dataset(64, 35);
         let (mc, tc) = quick_config();
-        let a = DeepEnsemble::train(&mc, &tc, &x, &y, 3, true, 42).unwrap();
-        let b = DeepEnsemble::train(&mc, &tc, &x, &y, 3, true, 42).unwrap();
+        let a = DeepEnsemble::train(&mc, &tc, &x, &y, 3, 42).unwrap();
+        let b = DeepEnsemble::train(&mc, &tc, &x, &y, 3, 42).unwrap();
         let xm = Matrix::from_rows(&[&[0.7]]);
         let pa = a.predict_batch(&xm);
         let pb = b.predict_batch(&xm);
@@ -234,7 +222,7 @@ mod tests {
     fn uncertain_model_trait_consistency() {
         let (x, y) = dataset(64, 36);
         let (mc, tc) = quick_config();
-        let mut ens = DeepEnsemble::train(&mc, &tc, &x, &y, 3, false, 7).unwrap();
+        let mut ens = DeepEnsemble::train(&mc, &tc, &x, &y, 3, 7).unwrap();
         let p = ens.predict_with_uncertainty(&[0.2]);
         let point = ens.predict_point(&[0.2]);
         assert_eq!(p.mean, point, "ensemble point prediction is the mean");

@@ -16,7 +16,7 @@ use le_mdsim::system::{SlabBox, Species, System};
 use le_netdyn::seir::{simulate, SeirConfig};
 use le_netdyn::{Population, PopulationConfig};
 use le_linalg::{Fnv, Matrix, Rng};
-use le_nn::{Mlp, MlpConfig, Optimizer, TrainConfig, Trainer};
+use le_nn::{Mlp, MlpConfig, TrainConfig, Trainer};
 
 /// FNV-1a over a sequence of f64 bit patterns: sensitive to every bit.
 fn fold_f64s<'a, I: IntoIterator<Item = &'a f64>>(h: &mut Fnv, vals: I) {
@@ -201,7 +201,7 @@ fn training_hash() -> u64 {
     let report = Trainer::new(TrainConfig {
         epochs: 8,
         batch_size: 64,
-        optimizer: Optimizer::adam(3e-3),
+        lr: 3e-3,
         validation_fraction: 0.3,
         patience: Some(100),
         seed: 23,
