@@ -33,13 +33,16 @@ fn main() {
     println!("{}", md_row(&["---".into(), "---".into(), "---".into(), "---".into()]));
     // One fused batch over the whole test split (the old loop re-predicted
     // every point once per output column).
-    let test_x: Vec<Vec<f64>> = (split..n_total).map(|i| params[i].to_features().to_vec()).collect();
-    let test_pred = surrogate.predict_batch(&test_x).expect("5 features");
+    let test_x: Vec<f64> = (split..n_total).flat_map(|i| params[i].to_features()).collect();
+    let mut test_pred = vec![0.0; (n_total - split) * 3];
+    surrogate
+        .predict_batch_into(&test_x, n_total - split, &mut test_pred)
+        .expect("5 features");
     for (k, name) in ["contact", "mid", "peak"].iter().enumerate() {
         let mut pred = Vec::new();
         let mut truth = Vec::new();
         for i in split..n_total {
-            pred.push(test_pred[i - split][k]);
+            pred.push(test_pred[(i - split) * 3 + k]);
             truth.push(outputs[i][k]);
         }
         println!(

@@ -64,7 +64,8 @@ struct FrozenSeedSurrogate {
 
 impl FrozenSeedSurrogate {
     fn new(s: &NnSurrogate, mc_seed: u64) -> Self {
-        let layers = s
+        let reg = s.regressor();
+        let layers = reg
             .model()
             .layers()
             .iter()
@@ -72,10 +73,10 @@ impl FrozenSeedSurrogate {
             .collect();
         Self {
             layers,
-            drop_rate: s.model().config().dropout,
+            drop_rate: reg.model().config().dropout,
             mc_samples: s.mc_samples(),
-            x_scaler: s.x_scaler().clone(),
-            y_scaler: s.y_scaler().clone(),
+            x_scaler: reg.x_scaler().clone(),
+            y_scaler: reg.y_scaler().clone(),
             mc_rng: Rng::new(mc_seed),
         }
     }
@@ -205,11 +206,12 @@ fn main() {
     // plus one fused MC-dropout evaluation at ordinals 0..64 on a fresh
     // clone (so bench iteration counts cannot shift the mask streams).
     let mut digest = Fnv::new();
-    let det = surrogate.predict_batch(&probes[..64]).expect("probe rows");
-    for row in &det {
-        for &v in row {
-            digest.f64(v);
-        }
+    let mut det = vec![0.0; 64 * out_dim];
+    surrogate
+        .predict_batch_into(&probes[..64].concat(), 64, &mut det)
+        .expect("probe rows");
+    for &v in &det {
+        digest.f64(v);
     }
     let mut mc_probe = surrogate.clone();
     let mc_rows: Vec<&[f64]> = probes[..64].iter().map(Vec::as_slice).collect();
@@ -240,7 +242,7 @@ fn main() {
     let t_single = harness.bench("surrogate_batch/point/1", || {
         p = (p + 1) % probes.len();
         surrogate
-            .predict_into(&probes[p], &mut point_out)
+            .predict_batch_into(&probes[p], 1, &mut point_out)
             .expect("probe row");
         point_out[0]
     });

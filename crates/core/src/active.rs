@@ -213,7 +213,10 @@ pub struct ActiveOutcome {
 pub fn validation_rmse(surrogate: &FittedSurrogate, val_x: &[Vec<f64>], val_y: &[Vec<f64>]) -> f64 {
     let preds: Vec<Vec<f64>> = match surrogate {
         FittedSurrogate::Dropout(s) => {
-            s.predict_batch(val_x).expect("validated dims") // lint:allow(no-panic): dims validated at loop entry
+            let mut flat = vec![0.0; val_x.len() * s.output_dim()];
+            s.predict_batch_into(&val_x.concat(), val_x.len(), &mut flat)
+                .expect("validated dims"); // lint:allow(no-panic): dims validated at loop entry
+            flat.chunks_exact(s.output_dim()).map(<[f64]>::to_vec).collect()
         }
         FittedSurrogate::Ensemble(_) => val_x
             .iter()

@@ -1,10 +1,11 @@
-//! [`NnSurrogate`] — the learned stand-in for a simulator: input/output
-//! standardization + an MLP with dropout + MC-dropout uncertainty, all in
-//! the simulator's native units.
+//! [`NnSurrogate`] — the learned stand-in for a simulator: a
+//! [`le_nn::Regressor`] (input/output standardization around an MLP with
+//! dropout) plus MC-dropout uncertainty, all in the simulator's native
+//! units.
 //!
-//! All inference rides the arena-backed batch engine
-//! ([`le_nn::BatchScratch`]): point predictions reuse one flat scratch (no
-//! per-query `Matrix` or `Vec` churn after warm-up), and MC-dropout
+//! All inference rides the regressor's fused batch engine
+//! ([`le_nn::BatchScratch`]): point predictions reuse one flat staging
+//! buffer (no per-query `Matrix` churn after warm-up), and MC-dropout
 //! uncertainty runs all `mc_samples` passes for all queried rows as one
 //! fused GEMM batch. Dropout masks come from stateless per-consult
 //! substreams — consult `i` draws from `Rng::substream(mask_seed, i)` — so
@@ -12,10 +13,8 @@
 //! sequential single-row queries (see `le_nn::batch` for the canonical
 //! mask order and the full determinism contract).
 
-use std::cell::RefCell;
-
 use le_linalg::{Matrix, Rng};
-use le_nn::{BatchScratch, Mlp, MlpConfig, Scaler, TrainConfig, Trainer};
+use le_nn::{NnError, Regressor, TrainConfig};
 use le_uq::{Prediction, UncertainModel};
 
 use crate::{LeError, Result};
@@ -50,24 +49,11 @@ impl Default for SurrogateConfig {
     }
 }
 
-/// Reusable flat staging buffers for scaling inputs/outputs around the
-/// batch engine. Lives behind a `RefCell` so `&self` point predictions can
-/// reuse it without reallocating.
-#[derive(Debug, Clone, Default)]
-struct Stage {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    mean: Vec<f64>,
-    std: Vec<f64>,
-}
-
-/// A trained surrogate: scalers + MLP + the fused batch engine and the
-/// stateless MC-dropout mask-stream seed.
+/// A trained surrogate: the standardized regressor plus the stateless
+/// MC-dropout mask-stream seed.
 #[derive(Debug, Clone)]
 pub struct NnSurrogate {
-    net: Mlp,
-    x_scaler: Scaler,
-    y_scaler: Scaler,
+    reg: Regressor,
     mc_samples: usize,
     /// Seed of the stateless mask-substream family; consult `i` draws its
     /// dropout masks from `Rng::substream(mask_seed, i)`.
@@ -75,10 +61,10 @@ pub struct NnSurrogate {
     /// Next unconsumed consult ordinal; advanced by B on every successful
     /// B-row uncertainty evaluation (point predictions draw no masks).
     mc_ordinal: u64,
-    in_dim: usize,
-    out_dim: usize,
-    scratch: RefCell<BatchScratch>,
-    stage: RefCell<Stage>,
+}
+
+fn model_err(e: NnError) -> LeError {
+    LeError::Model(e.to_string())
 }
 
 impl NnSurrogate {
@@ -91,73 +77,39 @@ impl NnSurrogate {
                 y.rows()
             )));
         }
-        if x.as_slice().iter().chain(y.as_slice()).any(|v| !v.is_finite()) {
-            return Err(LeError::Model(
-                "training data contains non-finite values".into(),
-            ));
-        }
-        let x_scaler = Scaler::fit(x).map_err(|e| LeError::Model(e.to_string()))?;
-        let y_scaler = Scaler::fit(y).map_err(|e| LeError::Model(e.to_string()))?;
-        let xs = x_scaler.transform(x).map_err(|e| LeError::Model(e.to_string()))?;
-        let ys = y_scaler.transform(y).map_err(|e| LeError::Model(e.to_string()))?;
-        let mut layers = vec![x.cols()];
-        layers.extend_from_slice(&config.hidden);
-        layers.push(y.cols());
-        let mut rng = Rng::new(config.seed);
-        let mut net = Mlp::new(
-            MlpConfig::regression_with_dropout(&layers, config.dropout),
-            &mut rng,
-        )
-        .map_err(|e| LeError::Model(e.to_string()))?;
-        Trainer::new(TrainConfig {
+        let train = TrainConfig {
             epochs: config.epochs,
             lr: config.lr,
             seed: config.seed ^ 0xDADA,
             ..Default::default()
-        })
-        .fit(&mut net, &xs, &ys)
-        .map_err(|e| LeError::Model(e.to_string()))?;
-        let scratch = RefCell::new(BatchScratch::new(&net));
+        };
+        let mut rng = Rng::new(config.seed);
+        let reg = Regressor::fit(x, y, &config.hidden, config.dropout, train, &mut rng)
+            .map_err(model_err)?;
         Ok(Self {
-            net,
-            x_scaler,
-            y_scaler,
+            reg,
             mc_samples: config.mc_samples.max(2),
             mask_seed: rng.split().next_u64(),
             mc_ordinal: 0,
-            in_dim: x.cols(),
-            out_dim: y.cols(),
-            scratch,
-            stage: RefCell::new(Stage::default()),
         })
     }
 
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
-        self.in_dim
+        self.reg.in_dim()
     }
 
     /// Output dimensionality.
     pub fn output_dim(&self) -> usize {
-        self.out_dim
+        self.reg.out_dim()
     }
 
-    /// The trained network (weights in natural `(in, out)` layout per
-    /// layer). Exposed read-only so harnesses can reconstruct reference
-    /// implementations — e.g. the surrogate-batch bench replays the
-    /// pre-batch-engine per-query path against the same parameters.
-    pub fn model(&self) -> &Mlp {
-        &self.net
-    }
-
-    /// The fitted input standardizer (see [`NnSurrogate::model`]).
-    pub fn x_scaler(&self) -> &Scaler {
-        &self.x_scaler
-    }
-
-    /// The fitted output standardizer (see [`NnSurrogate::model`]).
-    pub fn y_scaler(&self) -> &Scaler {
-        &self.y_scaler
+    /// The fitted regressor (scalers and network). Exposed read-only so
+    /// harnesses can reconstruct reference implementations — e.g. the
+    /// surrogate-batch bench replays the pre-batch-engine per-query path
+    /// against the same parameters.
+    pub fn regressor(&self) -> &Regressor {
+        &self.reg
     }
 
     /// Number of stochastic passes per uncertainty evaluation.
@@ -165,117 +117,40 @@ impl NnSurrogate {
         self.mc_samples
     }
 
-    /// Stage `inputs` as one flat scaled batch in `stage.x`. Validates every
-    /// row's width first so nothing is consumed on a dimension error.
-    fn stage_scaled_inputs(&self, inputs: &[&[f64]]) -> Result<()> {
-        for row in inputs {
-            if row.len() != self.in_dim {
-                return Err(LeError::InvalidConfig(format!(
-                    "expected {} inputs, got {}",
-                    self.in_dim,
-                    row.len()
-                )));
-            }
-        }
-        let mut stage = self.stage.borrow_mut();
-        stage.x.clear();
-        for row in inputs {
-            stage.x.extend_from_slice(row);
-        }
-        for chunk in stage.x.chunks_exact_mut(self.in_dim) {
-            self.x_scaler
-                .transform_slice(chunk)
-                .map_err(|e| LeError::Model(e.to_string()))?;
-        }
-        Ok(())
-    }
-
-    /// Deterministic point prediction written into `out` (length
-    /// `output_dim`), natural units. This is the allocation-free primitive
-    /// behind [`NnSurrogate::predict`]: after warm-up the staging buffers
-    /// and the engine arenas are reused, so a point prediction allocates
-    /// nothing.
-    pub fn predict_into(&self, input: &[f64], out: &mut [f64]) -> Result<()> {
-        if out.len() != self.out_dim {
+    fn check_width(&self, len: usize) -> Result<()> {
+        if len != self.input_dim() {
             return Err(LeError::InvalidConfig(format!(
-                "expected {} outputs, got {}",
-                self.out_dim,
-                out.len()
+                "expected {} inputs, got {len}",
+                self.input_dim()
             )));
         }
-        self.stage_scaled_inputs(&[input])?;
-        let stage = self.stage.borrow();
-        self.scratch
-            .borrow_mut()
-            .forward_into(&stage.x, 1, out)
-            .map_err(|e| LeError::Model(e.to_string()))?;
-        self.y_scaler
-            .inverse_transform_slice(out)
-            .map_err(|e| LeError::Model(e.to_string()))?;
         Ok(())
     }
 
     /// Deterministic point prediction in natural units.
     pub fn predict(&self, input: &[f64]) -> Result<Vec<f64>> {
-        let mut y = vec![0.0; self.out_dim];
-        self.predict_into(input, &mut y)?;
+        self.check_width(input.len())?;
+        let mut y = vec![0.0; self.output_dim()];
+        self.reg.predict_into(input, 1, &mut y).map_err(model_err)?;
         Ok(y)
     }
 
     /// Deterministic point predictions for a flat row-major `(rows,
     /// input_dim)` batch, written into the flat `(rows, output_dim)` `out`
-    /// slice with one batched engine pass. Allocation-free after warm-up.
+    /// slice with one batched engine pass; row `r` is bit-identical to
+    /// `predict` on that row. Allocation-free after warm-up.
     pub fn predict_batch_into(&self, x: &[f64], rows: usize, out: &mut [f64]) -> Result<()> {
-        if x.len() != rows * self.in_dim || out.len() != rows * self.out_dim {
+        if x.len() != rows * self.input_dim() || out.len() != rows * self.output_dim() {
             return Err(LeError::InvalidConfig(format!(
                 "batch shape mismatch: x {} vs rows {} × {}, out {} vs rows × {}",
                 x.len(),
                 rows,
-                self.in_dim,
+                self.input_dim(),
                 out.len(),
-                self.out_dim
+                self.output_dim()
             )));
         }
-        let mut stage = self.stage.borrow_mut();
-        stage.x.clear();
-        stage.x.extend_from_slice(x);
-        for chunk in stage.x.chunks_exact_mut(self.in_dim) {
-            self.x_scaler
-                .transform_slice(chunk)
-                .map_err(|e| LeError::Model(e.to_string()))?;
-        }
-        self.scratch
-            .borrow_mut()
-            .forward_into(&stage.x, rows, out)
-            .map_err(|e| LeError::Model(e.to_string()))?;
-        for chunk in out.chunks_exact_mut(self.out_dim) {
-            self.y_scaler
-                .inverse_transform_slice(chunk)
-                .map_err(|e| LeError::Model(e.to_string()))?;
-        }
-        Ok(())
-    }
-
-    /// Deterministic point predictions for many inputs with one batched
-    /// engine pass; row `r` of the result is bit-identical to
-    /// `predict(&inputs[r])`.
-    pub fn predict_batch(&self, inputs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
-        self.stage_scaled_inputs(&refs)?;
-        let rows = inputs.len();
-        let mut stage = self.stage.borrow_mut();
-        let Stage { x, y, .. } = &mut *stage;
-        y.resize(rows * self.out_dim, 0.0);
-        self.scratch
-            .borrow_mut()
-            .forward_into(x, rows, y)
-            .map_err(|e| LeError::Model(e.to_string()))?;
-        for chunk in y.chunks_exact_mut(self.out_dim) {
-            self.y_scaler
-                .inverse_transform_slice(chunk)
-                .map_err(|e| LeError::Model(e.to_string()))?;
-        }
-        Ok(y.chunks_exact(self.out_dim).map(|c| c.to_vec()).collect())
+        self.reg.predict_into(x, rows, out).map_err(model_err)
     }
 
     /// MC-dropout prediction with per-output mean and std, natural units.
@@ -293,32 +168,23 @@ impl NnSurrogate {
     /// calls; the ordinal counter commits only after a successful
     /// evaluation (a failed or panicked evaluation consumes nothing).
     pub fn predict_with_uncertainty_rows(&mut self, inputs: &[&[f64]]) -> Result<Vec<Prediction>> {
-        self.stage_scaled_inputs(inputs)?;
-        let rows = inputs.len();
-        let mut stage = self.stage.borrow_mut();
-        let Stage { x, mean, std, .. } = &mut *stage;
-        mean.resize(rows * self.out_dim, 0.0);
-        std.resize(rows * self.out_dim, 0.0);
-        self.scratch
-            .borrow_mut()
-            .mc_predict_into(x, rows, self.mc_samples, self.mask_seed, self.mc_ordinal, mean, std)
-            .map_err(|e| LeError::Model(e.to_string()))?;
-        self.mc_ordinal = self.mc_ordinal.wrapping_add(rows as u64);
-        // Back to natural units: mean affine, std multiplicative.
-        let mut out = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let mut m = mean[r * self.out_dim..(r + 1) * self.out_dim].to_vec();
-            self.y_scaler
-                .inverse_transform_slice(&mut m)
-                .map_err(|e| LeError::Model(e.to_string()))?;
-            let s: Vec<f64> = std[r * self.out_dim..(r + 1) * self.out_dim]
-                .iter()
-                .enumerate()
-                .map(|(k, &v)| self.y_scaler.inverse_scale_std(k, v))
-                .collect();
-            out.push(Prediction { mean: m, std: s });
+        for row in inputs {
+            self.check_width(row.len())?;
         }
-        Ok(out)
+        let (rows, od) = (inputs.len(), self.output_dim());
+        let (mut mean, mut std) = (vec![0.0; rows * od], vec![0.0; rows * od]);
+        self.reg
+            .mc_predict_into(&inputs.concat(), rows, self.mc_samples, self.mask_seed, self.mc_ordinal, &mut mean, &mut std)
+            .map_err(model_err)?;
+        self.mc_ordinal = self.mc_ordinal.wrapping_add(rows as u64);
+        Ok(mean
+            .chunks_exact(od)
+            .zip(std.chunks_exact(od))
+            .map(|(m, s)| Prediction {
+                mean: m.to_vec(),
+                std: s.to_vec(),
+            })
+            .collect())
     }
 }
 
@@ -333,7 +199,7 @@ impl UncertainModel for NnSurrogate {
     }
 
     fn out_dim(&self) -> usize {
-        self.out_dim
+        self.output_dim()
     }
 }
 

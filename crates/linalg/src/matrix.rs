@@ -47,15 +47,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Build from a row-major `Vec`. Returns `ShapeMismatch` if the length
     /// does not equal `rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
@@ -544,7 +535,7 @@ mod tests {
     #[test]
     fn matmul_identity() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let i = Matrix::identity(2);
+        let i = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         assert_eq!(a.matmul(&i).unwrap(), a);
         assert_eq!(i.matmul(&a).unwrap(), a);
     }

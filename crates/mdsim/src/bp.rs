@@ -16,7 +16,7 @@
 //!   energy) pairs, parallelized with Rayon.
 
 use le_linalg::{Matrix, Rng};
-use le_nn::{Mlp, MlpConfig, Scaler, TrainConfig, Trainer};
+use le_nn::{Regressor, TrainConfig};
 use le_pool as pool;
 
 use crate::reference::{random_cluster, ReferencePotential};
@@ -218,13 +218,12 @@ pub fn generate_training_set(
     }
 }
 
-/// The trained Behler–Parrinello potential: shared per-atom net + scalers.
+/// The trained Behler–Parrinello potential: the descriptor set and one
+/// shared per-atom regressor.
 #[derive(Debug, Clone)]
 pub struct BpPotential {
     sf: SymmetryFunctions,
-    net: Mlp,
-    x_scaler: Scaler,
-    y_scaler: Scaler,
+    reg: Regressor,
 }
 
 impl BpPotential {
@@ -237,49 +236,30 @@ impl BpPotential {
         train_config: TrainConfig,
         seed: u64,
     ) -> Result<Self> {
-        let x_scaler = Scaler::fit(&data.features)
-            .map_err(|e| MdError::Internal(e.to_string()))?;
-        let y_scaler = Scaler::fit(&data.energies)
-            .map_err(|e| MdError::Internal(e.to_string()))?;
-        let xs = x_scaler
-            .transform(&data.features)
-            .map_err(|e| MdError::Internal(e.to_string()))?;
-        let ys = y_scaler
-            .transform(&data.energies)
-            .map_err(|e| MdError::Internal(e.to_string()))?;
-        let mut layers = vec![sf.n_features()];
-        layers.extend_from_slice(hidden);
-        layers.push(1);
         let mut rng = Rng::new(seed);
-        let mut net = Mlp::new(MlpConfig::regression(&layers), &mut rng)
+        let reg = Regressor::fit(&data.features, &data.energies, hidden, 0.0, train_config, &mut rng)
             .map_err(|e| MdError::Internal(e.to_string()))?;
-        Trainer::new(train_config)
-            .fit(&mut net, &xs, &ys)
-            .map_err(|e| MdError::Internal(e.to_string()))?;
-        Ok(Self {
-            sf,
-            net,
-            x_scaler,
-            y_scaler,
-        })
+        Ok(Self { sf, reg })
     }
 
     /// Predicted total energy of a configuration: Σ_i NN(G_i).
+    ///
+    /// Evaluated with [`le_nn::Mlp::predict`] between the regressor's
+    /// scalers rather than through [`Regressor::predict_into`]: the two
+    /// agree to the bit, but in an unoptimized build the fused engine
+    /// costs about 1.6× as much on a 16-atom call, which sinks the
+    /// debug-build speed check in `tests/bp_potential_pipeline.rs`.
     pub fn energy(&self, pos: &[Vec3]) -> f64 {
-        if pos.is_empty() {
-            return 0.0;
-        }
         let feats = self.sf.describe_all(pos);
-        let xs = self
-            .x_scaler
-            .transform(&feats)
-            .expect("descriptor width fixed by construction"); // lint:allow(no-panic): descriptor width fixed at train time
-        let ys = self.net.predict(&xs).expect("net width fixed"); // lint:allow(no-panic): net built for this width
-        let back = self
-            .y_scaler
-            .inverse_transform(&ys)
-            .expect("output width fixed"); // lint:allow(no-panic): output width fixed at train time
-        back.as_slice().iter().sum()
+        let energy = || -> le_nn::Result<f64> {
+            let mut per_atom = self.reg.model().predict(&self.reg.x_scaler().transform(&feats)?)?;
+            per_atom
+                .as_mut_slice()
+                .chunks_exact_mut(1)
+                .try_for_each(|e| self.reg.y_scaler().inverse_transform_slice(e))?;
+            Ok(per_atom.as_slice().iter().sum())
+        };
+        energy().expect("descriptor width fixed at train time") // lint:allow(no-panic): descriptor width and 1-wide output fixed at train time
     }
 }
 

@@ -17,10 +17,8 @@
 //!   potential of mean force: an MLP is trained on `r → −ln g(r)` sampled
 //!   from the explicit simulation, then drives a solvent-free simulation.
 
-use std::cell::RefCell;
-
 use le_linalg::{Matrix, Rng};
-use le_nn::{BatchScratch, Mlp, MlpConfig, Scaler, TrainConfig, Trainer};
+use le_nn::{Regressor, TrainConfig};
 
 use crate::forces::ForceField;
 use crate::system::SlabBox;
@@ -364,13 +362,9 @@ pub fn pmf_from_rdf(rdf: &Rdf, min_count: u64) -> Vec<(f64, f64)> {
 /// A learned solute–solute potential of mean force: an MLP over r.
 #[derive(Debug, Clone)]
 pub struct PmfPotential {
-    net: Mlp,
-    /// Preallocated batch-engine arena: the PMF sits in the pair loop of a
-    /// solvent-free simulation, so evaluation reuses these buffers instead
-    /// of building per-layer matrices on every call.
-    scratch: RefCell<BatchScratch>,
-    x_scaler: Scaler,
-    y_scaler: Scaler,
+    /// The PMF sits in the pair loop of a solvent-free simulation, so its
+    /// evaluation reuses the regressor's preallocated engine.
+    reg: Regressor,
     /// Validity range of the fit; outside it the PMF is extrapolated flat.
     pub r_range: (f64, f64),
 }
@@ -391,61 +385,33 @@ impl PmfPotential {
             x.set(i, 0, r);
             y.set(i, 0, u);
         }
-        let x_scaler = Scaler::fit(&x).map_err(|e| MdError::Internal(e.to_string()))?;
-        let y_scaler = Scaler::fit(&y).map_err(|e| MdError::Internal(e.to_string()))?;
-        let xs = x_scaler.transform(&x).map_err(|e| MdError::Internal(e.to_string()))?;
-        let ys = y_scaler.transform(&y).map_err(|e| MdError::Internal(e.to_string()))?;
-        let mut rng = Rng::new(seed);
-        let mut net = Mlp::new(MlpConfig::regression(&[1, 16, 16, 1]), &mut rng)
-            .map_err(|e| MdError::Internal(e.to_string()))?;
-        Trainer::new(TrainConfig {
+        let train = TrainConfig {
             epochs: 400,
             patience: Some(60),
             ..Default::default()
-        })
-        .fit(&mut net, &xs, &ys)
-        .map_err(|e| MdError::Internal(e.to_string()))?;
+        };
+        let reg = Regressor::fit(&x, &y, &[16, 16], 0.0, train, &mut Rng::new(seed))
+            .map_err(|e| MdError::Internal(e.to_string()))?;
         let r_min = samples.iter().map(|s| s.0).fold(f64::INFINITY, f64::min);
         let r_max = samples.iter().map(|s| s.0).fold(0.0f64, f64::max);
         Ok(Self {
-            scratch: RefCell::new(BatchScratch::new(&net)),
-            net,
-            x_scaler,
-            y_scaler,
+            reg,
             r_range: (r_min, r_max),
         })
-    }
-
-    /// The underlying fitted network (the batch engine holds a snapshot of
-    /// its weights).
-    pub fn model(&self) -> &Mlp {
-        &self.net
     }
 
     /// PMF values at many separations (each clamped to the fitted range),
     /// evaluated as one fused batch through the preallocated engine.
     pub fn energy_batch(&self, rs: &[f64], out: &mut Vec<f64>) {
+        let x: Vec<f64> = rs
+            .iter()
+            .map(|&r| r.clamp(self.r_range.0, self.r_range.1))
+            .collect();
         out.clear();
-        out.extend(
-            rs.iter()
-                .map(|&r| r.clamp(self.r_range.0, self.r_range.1)),
-        );
-        for v in out.iter_mut() {
-            let mut one = [*v];
-            self.x_scaler.transform_slice(&mut one).expect("1 col"); // lint:allow(no-panic): scaler fitted on one column
-            *v = one[0];
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        let x = std::mem::take(out);
         out.resize(rs.len(), 0.0);
-        scratch
-            .forward_into(&x, rs.len(), out)
-            .expect("1 in 1 out"); // lint:allow(no-panic): net built 1-in/1-out
-        for v in out.iter_mut() {
-            let mut one = [*v];
-            self.y_scaler.inverse_transform_slice(&mut one).expect("1 col"); // lint:allow(no-panic): scaler fitted on one column
-            *v = one[0];
-        }
+        self.reg
+            .predict_into(&x, rs.len(), out)
+            .expect("1 in 1 out"); // lint:allow(no-panic): regressor fitted 1-in/1-out
     }
 
     /// PMF value at separation r (clamped to the fitted range).

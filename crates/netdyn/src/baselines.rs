@@ -5,10 +5,8 @@
 //! incidence)". Their county forecast is necessarily a uniform split of the
 //! state forecast.
 
-use std::cell::RefCell;
-
 use le_linalg::{solve, Matrix, Rng};
-use le_nn::{BatchScratch, Mlp, MlpConfig, Scaler, TrainConfig, Trainer};
+use le_nn::{Regressor, TrainConfig};
 
 use crate::{NetError, Result};
 
@@ -87,11 +85,7 @@ impl ArModel {
 /// window of recent weekly values → next weekly value (state level only).
 #[derive(Debug, Clone)]
 pub struct DataOnlyMlp {
-    net: Mlp,
-    /// Preallocated batch-engine arena reused across `forecast` calls.
-    scratch: RefCell<BatchScratch>,
-    x_scaler: Scaler,
-    y_scaler: Scaler,
+    reg: Regressor,
     /// Input window length.
     pub window: usize,
 }
@@ -120,34 +114,15 @@ impl DataOnlyMlp {
             x.row_mut(i).copy_from_slice(&rows_x[i]);
             y.set(i, 0, rows_y[i]);
         }
-        let x_scaler = Scaler::fit(&x).map_err(|e| NetError::Internal(e.to_string()))?;
-        let y_scaler = Scaler::fit(&y).map_err(|e| NetError::Internal(e.to_string()))?;
-        let xs = x_scaler.transform(&x).map_err(|e| NetError::Internal(e.to_string()))?;
-        let ys = y_scaler.transform(&y).map_err(|e| NetError::Internal(e.to_string()))?;
-        let mut rng = Rng::new(seed);
-        let mut net = Mlp::new(MlpConfig::regression(&[window, 16, 16, 1]), &mut rng)
-            .map_err(|e| NetError::Internal(e.to_string()))?;
-        Trainer::new(TrainConfig {
+        let train = TrainConfig {
             epochs: 200,
             patience: Some(40),
             seed,
             ..Default::default()
-        })
-        .fit(&mut net, &xs, &ys)
-        .map_err(|e| NetError::Internal(e.to_string()))?;
-        Ok(Self {
-            scratch: RefCell::new(BatchScratch::new(&net)),
-            net,
-            x_scaler,
-            y_scaler,
-            window,
-        })
-    }
-
-    /// The underlying fitted network (the batch engine holds a snapshot of
-    /// its weights).
-    pub fn model(&self) -> &Mlp {
-        &self.net
+        };
+        let reg = Regressor::fit(&x, &y, &[16, 16], 0.0, train, &mut Rng::new(seed))
+            .map_err(|e| NetError::Internal(e.to_string()))?;
+        Ok(Self { reg, window })
     }
 
     /// One-step-ahead state forecast.
@@ -159,17 +134,9 @@ impl DataOnlyMlp {
                 observed.len()
             )));
         }
-        let mut x = observed[observed.len() - self.window..].to_vec();
-        self.x_scaler
-            .transform_slice(&mut x)
-            .map_err(|e| NetError::Internal(e.to_string()))?;
         let mut out = [0.0];
-        self.scratch
-            .borrow_mut()
-            .forward_into(&x, 1, &mut out)
-            .map_err(|e| NetError::Internal(e.to_string()))?;
-        self.y_scaler
-            .inverse_transform_slice(&mut out)
+        self.reg
+            .predict_into(&observed[observed.len() - self.window..], 1, &mut out)
             .map_err(|e| NetError::Internal(e.to_string()))?;
         Ok(out[0].max(0.0))
     }

@@ -261,14 +261,14 @@ impl TwoBranchNet {
                 let y_batch = y_s.gather_rows(chunk);
                 // Forward through both branches, concat, head.
                 let code_a = branch_a
-                    .forward_train(&a_batch, &mut drop_rng)
+                    .forward_train(a_batch, &mut drop_rng)
                     .map_err(|e| NetError::Internal(e.to_string()))?;
                 let code_b = branch_b
-                    .forward_train(&b_batch, &mut drop_rng)
+                    .forward_train(b_batch, &mut drop_rng)
                     .map_err(|e| NetError::Internal(e.to_string()))?;
                 let fused = hstack(&code_a, &code_b);
                 let pred = head
-                    .forward_train(&fused, &mut drop_rng)
+                    .forward_train(fused, &mut drop_rng)
                     .map_err(|e| NetError::Internal(e.to_string()))?;
                 let (_, grad) = loss::mse(&pred, &y_batch)
                     .map_err(|e| NetError::Internal(e.to_string()))?;

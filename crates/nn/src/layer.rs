@@ -85,11 +85,11 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Forward pass for a batch: [`Dense::infer`], caching the input and
-    /// output for `backward`.
-    pub fn forward(&mut self, x: &Matrix) -> Result<Matrix> {
-        let y = self.infer(x)?;
-        self.input = Some(x.clone());
+    /// Forward pass for a batch: [`Dense::infer`], caching the input (taken
+    /// by value, so without a copy) and the output for `backward`.
+    pub fn forward(&mut self, x: Matrix) -> Result<Matrix> {
+        let y = self.infer(&x)?;
+        self.input = Some(x);
         self.post_act = Some(y.clone());
         Ok(y)
     }
@@ -153,7 +153,8 @@ impl Dense {
 
 /// Inverted dropout: at train time each unit is zeroed with probability
 /// `rate` and survivors are scaled by `1/(1-rate)`, so inference needs no
-/// rescaling. The same path is reused *at inference* for MC-dropout UQ.
+/// rescaling. MC-dropout UQ draws its inference-time masks in the fused
+/// engine of [`crate::batch`] instead.
 #[derive(Debug, Clone)]
 pub struct Dropout {
     /// Drop probability in `[0, 1)`.
@@ -172,24 +173,21 @@ impl Dropout {
         Ok(Self { rate, mask: None })
     }
 
-    /// Stochastic forward (training or MC-dropout inference).
-    pub fn forward(&mut self, x: &Matrix, rng: &mut Rng) -> Matrix {
+    /// Stochastic training forward: masks `x` in place.
+    pub fn forward(&mut self, mut x: Matrix, rng: &mut Rng) -> Matrix {
         if self.rate == 0.0 { // lint:allow(float-hygiene): exact-zero rate disables dropout entirely
             self.mask = None;
-            return x.clone();
+            return x;
         }
         let keep = 1.0 - self.rate;
         let scale = 1.0 / keep;
         let mut mask = Matrix::zeros(x.rows(), x.cols());
-        {
-            let ms = mask.as_mut_slice();
-            for m in ms.iter_mut() {
-                *m = if rng.bernoulli(keep) { scale } else { 0.0 };
-            }
+        for (m, v) in mask.as_mut_slice().iter_mut().zip(x.as_mut_slice()) {
+            *m = if rng.bernoulli(keep) { scale } else { 0.0 };
+            *v *= *m;
         }
-        let out = x.hadamard(&mask).expect("same shape by construction"); // lint:allow(no-panic): mask sampled with the input's shape
         self.mask = Some(mask);
-        out
+        x
     }
 
     /// Backward: gradient flows only through kept units, with the same
@@ -212,7 +210,7 @@ mod tests {
         let mut layer = Dense::new(4, 3, activation, &mut rng);
         let x = Matrix::from_vec(2, 4, (0..8).map(|i| 0.1 * i as f64 - 0.35).collect()).unwrap();
         let ones = Matrix::filled(2, 3, 1.0);
-        let _ = layer.forward(&x).unwrap();
+        let _ = layer.forward(x.clone()).unwrap();
         let _ = layer.backward(&ones).unwrap();
         let analytic = layer.grad_w.clone();
         let eps = 1e-6;
@@ -250,7 +248,7 @@ mod tests {
         let mut layer = Dense::new(2, 2, Activation::Identity, &mut rng);
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let g = Matrix::from_rows(&[&[1.0, 0.5], &[2.0, -1.0]]);
-        let _ = layer.forward(&x).unwrap();
+        let _ = layer.forward(x.clone()).unwrap();
         let _ = layer.backward(&g).unwrap();
         assert!((layer.grad_b[0] - 3.0).abs() < 1e-12);
         assert!((layer.grad_b[1] - (-0.5)).abs() < 1e-12);
@@ -261,7 +259,7 @@ mod tests {
         let mut rng = Rng::new(502);
         let mut layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
         let bad = Matrix::zeros(1, 4);
-        assert!(layer.forward(&bad).is_err());
+        assert!(layer.forward(bad.clone()).is_err());
         assert!(layer.infer(&bad).is_err());
     }
 
@@ -277,7 +275,7 @@ mod tests {
         let mut rng = Rng::new(504);
         let mut layer = Dense::new(3, 5, Activation::Tanh, &mut rng);
         let x = Matrix::from_vec(4, 3, (0..12).map(|i| i as f64 * 0.2 - 1.0).collect()).unwrap();
-        let f = layer.forward(&x).unwrap();
+        let f = layer.forward(x.clone()).unwrap();
         let i = layer.infer(&x).unwrap();
         for (a, b) in f.as_slice().iter().zip(i.as_slice()) {
             assert!((a - b).abs() < 1e-15);
@@ -300,7 +298,7 @@ mod tests {
         let mut total = 0.0;
         let reps = 20;
         for _ in 0..reps {
-            total += d.forward(&x, &mut rng).sum();
+            total += d.forward(x.clone(), &mut rng).sum();
         }
         let mean = total / (reps * 200 * 50) as f64;
         assert!((mean - 1.0).abs() < 0.02, "inverted dropout mean {mean}");
@@ -311,7 +309,7 @@ mod tests {
         let mut rng = Rng::new(506);
         let mut d = Dropout::new(0.0).unwrap();
         let x = Matrix::from_rows(&[&[1.0, -2.0, 3.0]]);
-        assert_eq!(d.forward(&x, &mut rng), x);
+        assert_eq!(d.forward(x.clone(), &mut rng), x);
     }
 
     #[test]
@@ -319,7 +317,7 @@ mod tests {
         let mut rng = Rng::new(507);
         let mut d = Dropout::new(0.5).unwrap();
         let x = Matrix::filled(1, 100, 1.0);
-        let y = d.forward(&x, &mut rng);
+        let y = d.forward(x, &mut rng);
         let g = d.backward(&Matrix::filled(1, 100, 1.0));
         // Where the output was zeroed, the gradient must be zeroed too.
         for (yv, gv) in y.as_slice().iter().zip(g.as_slice()) {

@@ -18,7 +18,10 @@
 //! * the Adam optimizer ([`optimizer`]),
 //! * a mini-batch trainer with shuffling, validation split, early
 //!   stopping and a global-norm gradient clip ([`train`]),
-//! * feature/target standardization ([`scaler`]).
+//! * feature/target standardization ([`scaler`]),
+//! * the standardized regressor every surrogate uses: z-score, fit,
+//!   predict through the fused engine of [`batch`], un-scale
+//!   ([`regressor`]).
 //!
 //! Determinism: every stochastic element (init, shuffling, dropout masks)
 //! is driven by an explicit [`le_linalg::Rng`].
@@ -29,11 +32,13 @@ pub mod loss;
 pub mod math;
 pub mod model;
 pub mod optimizer;
+pub mod regressor;
 pub mod scaler;
 pub mod train;
 
 pub use batch::BatchScratch;
 pub use model::{Mlp, MlpConfig};
+pub use regressor::Regressor;
 pub use scaler::Scaler;
 pub use train::{TrainConfig, TrainReport, Trainer};
 
@@ -44,6 +49,8 @@ pub enum NnError {
     Shape(String),
     /// Invalid hyperparameter (e.g. dropout rate outside [0, 1)).
     InvalidConfig(String),
+    /// Training data holds a NaN or an infinity.
+    NonFinite(String),
 }
 
 impl std::fmt::Display for NnError {
@@ -51,6 +58,7 @@ impl std::fmt::Display for NnError {
         match self {
             NnError::Shape(s) => write!(f, "shape error: {s}"),
             NnError::InvalidConfig(s) => write!(f, "invalid config: {s}"),
+            NnError::NonFinite(s) => write!(f, "non-finite training data: {s}"),
         }
     }
 }

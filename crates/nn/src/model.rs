@@ -114,13 +114,15 @@ impl Mlp {
     }
 
     /// Training forward pass: dropout active, state cached for `backward`.
-    pub fn forward_train(&mut self, x: &Matrix, rng: &mut Rng) -> Result<Matrix> {
-        let mut h = x.clone();
+    /// Each activation is handed on by value, so the layer caches keep it
+    /// without a copy.
+    pub fn forward_train(&mut self, x: Matrix, rng: &mut Rng) -> Result<Matrix> {
+        let mut h = x;
         let n = self.dense.len();
         for i in 0..n {
-            h = self.dense[i].forward(&h)?;
+            h = self.dense[i].forward(h)?;
             if i + 1 < n {
-                h = self.dropout[i].forward(&h, rng);
+                h = self.dropout[i].forward(h, rng);
             }
         }
         Ok(h)
@@ -165,10 +167,8 @@ impl Mlp {
         mut f: impl FnMut(usize, &mut [f64], &[f64]),
     ) {
         for (i, layer) in self.dense.iter_mut().enumerate() {
-            let grad_w = layer.grad_w.as_slice().to_vec();
-            f(2 * i, layer.w.as_mut_slice(), &grad_w);
-            let grad_b = layer.grad_b.clone();
-            f(2 * i + 1, &mut layer.b, &grad_b);
+            f(2 * i, layer.w.as_mut_slice(), layer.grad_w.as_slice());
+            f(2 * i + 1, &mut layer.b, &layer.grad_b);
         }
     }
 
@@ -259,7 +259,7 @@ mod tests {
         let mut net = Mlp::new(MlpConfig::regression(&[3, 5, 5, 2]), &mut rng).unwrap();
         let x = Matrix::from_vec(4, 3, (0..12).map(|i| i as f64 * 0.1).collect()).unwrap();
         let mut drop_rng = Rng::new(99);
-        let train_out = net.forward_train(&x, &mut drop_rng).unwrap();
+        let train_out = net.forward_train(x.clone(), &mut drop_rng).unwrap();
         let infer_out = net.predict(&x).unwrap();
         for (a, b) in train_out.as_slice().iter().zip(infer_out.as_slice()) {
             assert!((a - b).abs() < 1e-15);
@@ -297,7 +297,7 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.3, -0.7], &[1.0, 0.2]]);
         // Loss = sum of outputs -> dL/dy = 1.
         let mut no_drop = Rng::new(0);
-        let _ = net.forward_train(&x, &mut no_drop).unwrap();
+        let _ = net.forward_train(x.clone(), &mut no_drop).unwrap();
         let ones = Matrix::filled(2, 1, 1.0);
         let _ = net.backward(&ones).unwrap();
         // Check the first layer's weight gradients numerically.
@@ -327,7 +327,7 @@ mod tests {
         let mut net = Mlp::new(MlpConfig::regression(&[3, 5, 2]), &mut rng).unwrap();
         let x = Matrix::from_rows(&[&[0.1, 0.2, -0.3]]);
         let mut no_drop = Rng::new(0);
-        let _ = net.forward_train(&x, &mut no_drop).unwrap();
+        let _ = net.forward_train(x.clone(), &mut no_drop).unwrap();
         let ones = Matrix::filled(1, 2, 1.0);
         let gx = net.backward(&ones).unwrap();
         let eps = 1e-6;

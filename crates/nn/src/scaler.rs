@@ -46,14 +46,6 @@ impl Scaler {
         Ok(Self { means, stds })
     }
 
-    /// Identity scaler for `cols` columns.
-    pub fn identity(cols: usize) -> Self {
-        Self {
-            means: vec![0.0; cols],
-            stds: vec![1.0; cols],
-        }
-    }
-
     /// Number of columns this scaler applies to.
     pub fn cols(&self) -> usize {
         self.means.len()
@@ -61,39 +53,17 @@ impl Scaler {
 
     /// Transform a batch into scaled space.
     pub fn transform(&self, data: &Matrix) -> Result<Matrix> {
-        self.check(data)?;
+        self.check(data.cols())?;
         let mut out = data.clone();
         for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for ((v, &m), &s) in row.iter_mut().zip(self.means.iter()).zip(self.stds.iter()) {
-                *v = (*v - m) / s;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Map a scaled batch back to original units.
-    pub fn inverse_transform(&self, data: &Matrix) -> Result<Matrix> {
-        self.check(data)?;
-        let mut out = data.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for ((v, &m), &s) in row.iter_mut().zip(self.means.iter()).zip(self.stds.iter()) {
-                *v = *v * s + m;
-            }
+            self.transform_slice(out.row_mut(r))?;
         }
         Ok(out)
     }
 
     /// Transform a single sample in place.
     pub fn transform_slice(&self, x: &mut [f64]) -> Result<()> {
-        if x.len() != self.cols() {
-            return Err(NnError::Shape(format!(
-                "scaler expects {} columns, got {}",
-                self.cols(),
-                x.len()
-            )));
-        }
+        self.check(x.len())?;
         for ((v, &m), &s) in x.iter_mut().zip(self.means.iter()).zip(self.stds.iter()) {
             *v = (*v - m) / s;
         }
@@ -102,13 +72,7 @@ impl Scaler {
 
     /// Inverse-transform a single sample in place.
     pub fn inverse_transform_slice(&self, x: &mut [f64]) -> Result<()> {
-        if x.len() != self.cols() {
-            return Err(NnError::Shape(format!(
-                "scaler expects {} columns, got {}",
-                self.cols(),
-                x.len()
-            )));
-        }
+        self.check(x.len())?;
         for ((v, &m), &s) in x.iter_mut().zip(self.means.iter()).zip(self.stds.iter()) {
             *v = *v * s + m;
         }
@@ -116,17 +80,16 @@ impl Scaler {
     }
 
     /// Scale a *standard deviation* from scaled space back to original units
-    /// (pure multiplication — no mean shift). Used by the UQ crate.
+    /// (pure multiplication — no mean shift), as for an MC-dropout std.
     pub fn inverse_scale_std(&self, col: usize, std_scaled: f64) -> f64 {
         std_scaled * self.stds[col]
     }
 
-    fn check(&self, data: &Matrix) -> Result<()> {
-        if data.cols() != self.cols() {
+    fn check(&self, cols: usize) -> Result<()> {
+        if cols != self.cols() {
             return Err(NnError::Shape(format!(
-                "scaler expects {} columns, got {}",
-                self.cols(),
-                data.cols()
+                "scaler expects {} columns, got {cols}",
+                self.cols()
             )));
         }
         Ok(())
@@ -156,9 +119,10 @@ mod tests {
     fn roundtrip_is_identity() {
         let data = Matrix::from_rows(&[&[1.5, -2.0, 7.0], &[0.0, 3.0, -1.0], &[2.2, 0.1, 4.0]]);
         let scaler = Scaler::fit(&data).unwrap();
-        let back = scaler
-            .inverse_transform(&scaler.transform(&data).unwrap())
-            .unwrap();
+        let mut back = scaler.transform(&data).unwrap();
+        for r in 0..back.rows() {
+            scaler.inverse_transform_slice(back.row_mut(r)).unwrap();
+        }
         for (a, b) in back.as_slice().iter().zip(data.as_slice()) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -168,13 +132,11 @@ mod tests {
     fn constant_column_passes_through() {
         let data = Matrix::from_rows(&[&[5.0, 1.0], &[5.0, 2.0], &[5.0, 3.0]]);
         let scaler = Scaler::fit(&data).unwrap();
-        let t = scaler.transform(&data).unwrap();
+        let mut t = scaler.transform(&data).unwrap();
         for r in 0..3 {
             assert_eq!(t.get(r, 0), 0.0, "constant column centers to 0");
-        }
-        let back = scaler.inverse_transform(&t).unwrap();
-        for r in 0..3 {
-            assert_eq!(back.get(r, 0), 5.0);
+            scaler.inverse_transform_slice(t.row_mut(r)).unwrap();
+            assert_eq!(t.get(r, 0), 5.0);
         }
     }
 
@@ -194,7 +156,7 @@ mod tests {
 
     #[test]
     fn shape_validation() {
-        let scaler = Scaler::identity(3);
+        let scaler = Scaler::fit(&Matrix::zeros(2, 3)).unwrap();
         assert!(scaler.transform(&Matrix::zeros(2, 2)).is_err());
         assert!(scaler.transform_slice(&mut [0.0, 0.0]).is_err());
     }

@@ -141,7 +141,7 @@ impl Trainer {
             for chunk in order.chunks(cfg.batch_size) {
                 let xb = x_train.gather_rows(chunk);
                 let yb = y_train.gather_rows(chunk);
-                let pred = model.forward_train(&xb, &mut rng)?;
+                let pred = model.forward_train(xb, &mut rng)?;
                 let (batch_loss, grad) = loss::mse(&pred, &yb)?;
                 model.backward(&grad)?;
                 model.clip_grad_norm(GRAD_CLIP);

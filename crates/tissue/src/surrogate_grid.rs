@@ -9,10 +9,8 @@
 //! detail for a ~`fine_steps`-fold reduction in inner-loop work; E9
 //! measures both sides of that trade.
 
-use std::cell::RefCell;
-
 use le_linalg::{Matrix, Rng};
-use le_nn::{BatchScratch, Mlp, MlpConfig, Scaler, TrainConfig, Trainer};
+use le_nn::{Regressor, TrainConfig};
 
 use crate::diffusion::DiffusionSolver;
 use crate::field::Field;
@@ -22,13 +20,9 @@ use crate::{Result, TissueError};
 /// The trained transport surrogate.
 #[derive(Debug, Clone)]
 pub struct TransportSurrogate {
-    net: Mlp,
-    /// Preallocated batch-engine arena: `advance` is the tissue model's
-    /// inner loop, so evaluation reuses these buffers instead of building
-    /// per-layer matrices on every call.
-    scratch: RefCell<BatchScratch>,
-    x_scaler: Scaler,
-    y_scaler: Scaler,
+    /// `advance` is the tissue model's inner loop, so evaluation reuses the
+    /// regressor's preallocated engine.
+    reg: Regressor,
     /// Fine lattice width/height.
     pub fine_shape: (usize, usize),
     /// Coarse-graining factor.
@@ -98,6 +92,25 @@ fn random_sources(width: usize, height: usize, rng: &mut Rng) -> Field {
     s
 }
 
+/// `n` random `(field, sources, advanced)` triples, the field and sources
+/// of each drawn from `rng` in that order.
+fn random_triples(
+    solver: &DiffusionSolver,
+    (w, h): (usize, usize),
+    fine_steps: usize,
+    n: usize,
+    rng: &mut Rng,
+) -> Result<Vec<(Field, Field, Field)>> {
+    (0..n)
+        .map(|_| {
+            let field = random_field(w, h, rng);
+            let sources = random_sources(w, h, rng);
+            let advanced = solver.advance(&field, &sources, fine_steps)?;
+            Ok((field, sources, advanced))
+        })
+        .collect()
+}
+
 impl TransportSurrogate {
     /// Train the surrogate to reproduce `solver.advance(field, sources,
     /// fine_steps)` at coarse resolution.
@@ -114,53 +127,9 @@ impl TransportSurrogate {
                 "factor {factor} must divide {w}x{h}"
             )));
         }
-        let cw = w / factor;
-        let ch = h / factor;
-        let in_dim = 2 * cw * ch; // coarse field + coarse sources
-        let out_dim = cw * ch;
         let mut rng = Rng::new(cfg.seed);
-        let mut x = Matrix::zeros(cfg.n_samples, in_dim);
-        let mut y = Matrix::zeros(cfg.n_samples, out_dim);
-        for i in 0..cfg.n_samples {
-            let field = random_field(w, h, &mut rng);
-            let sources = random_sources(w, h, &mut rng);
-            let advanced = solver.advance(&field, &sources, fine_steps)?;
-            let cf = field.downsample(factor)?;
-            let cs = sources.downsample(factor)?;
-            let ca = advanced.downsample(factor)?;
-            x.row_mut(i)[..out_dim].copy_from_slice(cf.as_slice());
-            x.row_mut(i)[out_dim..].copy_from_slice(cs.as_slice());
-            y.row_mut(i).copy_from_slice(ca.as_slice());
-        }
-        let x_scaler = Scaler::fit(&x).map_err(|e| TissueError::Model(e.to_string()))?;
-        let y_scaler = Scaler::fit(&y).map_err(|e| TissueError::Model(e.to_string()))?;
-        let xs = x_scaler
-            .transform(&x)
-            .map_err(|e| TissueError::Model(e.to_string()))?;
-        let ys = y_scaler
-            .transform(&y)
-            .map_err(|e| TissueError::Model(e.to_string()))?;
-        let mut layers = vec![in_dim];
-        layers.extend_from_slice(&cfg.hidden);
-        layers.push(out_dim);
-        let mut net = Mlp::new(MlpConfig::regression(&layers), &mut rng)
-            .map_err(|e| TissueError::Model(e.to_string()))?;
-        Trainer::new(TrainConfig {
-            epochs: cfg.epochs,
-            seed: cfg.seed ^ 0x5555,
-            ..Default::default()
-        })
-        .fit(&mut net, &xs, &ys)
-        .map_err(|e| TissueError::Model(e.to_string()))?;
-        Ok(Self {
-            scratch: RefCell::new(BatchScratch::new(&net)),
-            net,
-            x_scaler,
-            y_scaler,
-            fine_shape,
-            factor,
-            fine_steps,
-        })
+        let triples = random_triples(solver, fine_shape, fine_steps, cfg.n_samples, &mut rng)?;
+        Self::fit(&triples, fine_shape, factor, fine_steps, cfg, &mut rng)
     }
 
     /// Train on *on-trajectory* data: run the coupled tissue model with the
@@ -207,71 +176,43 @@ impl TransportSurrogate {
         // Random-field augmentation for out-of-trajectory coverage.
         let mut rng = Rng::new(cfg.seed ^ 0x7777);
         let n_random = ((triples.len() as f64) * random_fraction).round() as usize;
-        for _ in 0..n_random {
-            let field = random_field(w, h, &mut rng);
-            let sources = random_sources(w, h, &mut rng);
-            let advanced = solver.advance(&field, &sources, fine_steps)?;
-            triples.push((field, sources, advanced));
-        }
-        Self::train_from_triples(&solver, (w, h), factor, fine_steps, &triples, cfg)
-    }
-
-    /// Train from explicit `(field, sources, advanced)` triples.
-    fn train_from_triples(
-        _solver: &DiffusionSolver,
-        fine_shape: (usize, usize),
-        factor: usize,
-        fine_steps: usize,
-        triples: &[(Field, Field, Field)],
-        cfg: &SurrogateTrainConfig,
-    ) -> Result<Self> {
-        let (w, h) = fine_shape;
-        let cw = w / factor;
-        let ch = h / factor;
-        let in_dim = 2 * cw * ch;
-        let out_dim = cw * ch;
+        triples.extend(random_triples(&solver, (w, h), fine_steps, n_random, &mut rng)?);
         if triples.len() < 8 {
             return Err(TissueError::InvalidConfig(format!(
                 "need ≥ 8 training triples, got {}",
                 triples.len()
             )));
         }
-        let mut x = Matrix::zeros(triples.len(), in_dim);
+        Self::fit(&triples, (w, h), factor, fine_steps, cfg, &mut Rng::new(cfg.seed))
+    }
+
+    /// Fit the regressor to the coarse-grained `(field ‖ sources) →
+    /// advanced` rows of `triples`, its network initialized from `rng`.
+    fn fit(
+        triples: &[(Field, Field, Field)],
+        fine_shape: (usize, usize),
+        factor: usize,
+        fine_steps: usize,
+        cfg: &SurrogateTrainConfig,
+        rng: &mut Rng,
+    ) -> Result<Self> {
+        let out_dim = (fine_shape.0 / factor) * (fine_shape.1 / factor);
+        let mut x = Matrix::zeros(triples.len(), 2 * out_dim); // coarse field + coarse sources
         let mut y = Matrix::zeros(triples.len(), out_dim);
         for (i, (field, sources, advanced)) in triples.iter().enumerate() {
-            let cf = field.downsample(factor)?;
-            let cs = sources.downsample(factor)?;
-            let ca = advanced.downsample(factor)?;
-            x.row_mut(i)[..out_dim].copy_from_slice(cf.as_slice());
-            x.row_mut(i)[out_dim..].copy_from_slice(cs.as_slice());
-            y.row_mut(i).copy_from_slice(ca.as_slice());
+            x.row_mut(i)[..out_dim].copy_from_slice(field.downsample(factor)?.as_slice());
+            x.row_mut(i)[out_dim..].copy_from_slice(sources.downsample(factor)?.as_slice());
+            y.row_mut(i).copy_from_slice(advanced.downsample(factor)?.as_slice());
         }
-        let x_scaler = Scaler::fit(&x).map_err(|e| TissueError::Model(e.to_string()))?;
-        let y_scaler = Scaler::fit(&y).map_err(|e| TissueError::Model(e.to_string()))?;
-        let xs = x_scaler
-            .transform(&x)
-            .map_err(|e| TissueError::Model(e.to_string()))?;
-        let ys = y_scaler
-            .transform(&y)
-            .map_err(|e| TissueError::Model(e.to_string()))?;
-        let mut layers = vec![in_dim];
-        layers.extend_from_slice(&cfg.hidden);
-        layers.push(out_dim);
-        let mut rng = Rng::new(cfg.seed);
-        let mut net = Mlp::new(MlpConfig::regression(&layers), &mut rng)
-            .map_err(|e| TissueError::Model(e.to_string()))?;
-        Trainer::new(TrainConfig {
+        let train = TrainConfig {
             epochs: cfg.epochs,
             seed: cfg.seed ^ 0x5555,
             ..Default::default()
-        })
-        .fit(&mut net, &xs, &ys)
-        .map_err(|e| TissueError::Model(e.to_string()))?;
+        };
+        let reg = Regressor::fit(&x, &y, &cfg.hidden, 0.0, train, rng)
+            .map_err(|e| TissueError::Model(e.to_string()))?;
         Ok(Self {
-            scratch: RefCell::new(BatchScratch::new(&net)),
-            net,
-            x_scaler,
-            y_scaler,
+            reg,
             fine_shape,
             factor,
             fine_steps,
@@ -295,16 +236,9 @@ impl TransportSurrogate {
         let mut x = vec![0.0; 2 * n];
         x[..n].copy_from_slice(cf.as_slice());
         x[n..].copy_from_slice(cs.as_slice());
-        self.x_scaler
-            .transform_slice(&mut x)
-            .map_err(|e| TissueError::Model(e.to_string()))?;
-        let mut pred = vec![0.0; self.net.out_dim()];
-        self.scratch
-            .borrow_mut()
-            .forward_into(&x, 1, &mut pred)
-            .map_err(|e| TissueError::Model(e.to_string()))?;
-        self.y_scaler
-            .inverse_transform_slice(&mut pred)
+        let mut pred = vec![0.0; n];
+        self.reg
+            .predict_into(&x, 1, &mut pred)
             .map_err(|e| TissueError::Model(e.to_string()))?;
         for v in &mut pred {
             *v = v.max(0.0);

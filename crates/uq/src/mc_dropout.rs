@@ -49,18 +49,6 @@ impl McDropout {
         &self.model
     }
 
-    /// Raw MC samples for one input: an `(n_samples, out_dim)` matrix.
-    /// Consumes one mask-stream ordinal.
-    pub fn sample(&mut self, x: &[f64]) -> Matrix {
-        let out_dim = self.model.out_dim();
-        let mut samples = Matrix::zeros(self.n_samples, out_dim);
-        self.scratch
-            .mc_forward_into(x, 1, self.n_samples, self.mask_seed, self.ordinal, samples.as_mut_slice())
-            .expect("shape checked by caller"); // lint:allow(no-panic): public entry validates the shape
-        self.ordinal = self.ordinal.wrapping_add(1);
-        samples
-    }
-
     /// Predict mean/std for a whole batch at once (rows of `x`) with one
     /// fused evaluation; row `r` consumes ordinal `ordinal + r`, so the
     /// result is bit-identical to `x.rows()` single-row predictions.
@@ -220,13 +208,5 @@ mod tests {
         let model = trained_dropout_net(26, 0.1);
         let mc = McDropout::new(model, 0, 12);
         assert_eq!(mc.n_samples, 2);
-    }
-
-    #[test]
-    fn sample_matrix_shape() {
-        let model = trained_dropout_net(27, 0.1);
-        let mut mc = McDropout::new(model, 17, 13);
-        let s = mc.sample(&[0.0, 0.0]);
-        assert_eq!(s.shape(), (17, 1));
     }
 }

@@ -51,7 +51,7 @@ cargo test -q --offline --workspace
 # The lint rules must pass, and the `lint:allow` escapes le-lint counts
 # may fall but never rise: the total is pinned at a ceiling. Lower the pin
 # when a change removes escapes; raising it needs a written reason.
-lint_allow_ceiling=50
+lint_allow_ceiling=44
 echo "==> cargo run -p le-lint -- check (lint:allow escapes <= $lint_allow_ceiling)"
 lint_out="$(cargo run -q -p le-lint --offline -- check)" || {
   printf '%s\n' "$lint_out"
