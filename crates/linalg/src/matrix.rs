@@ -1,24 +1,33 @@
 //! Row-major dense `f64` matrix with the operations the neural-network and
 //! solver crates need. Sized for the small/medium matrices of this workspace
-//! (layer weights up to a few thousand per side). The three matmul variants
-//! share one private product routine: an ikj loop below
-//! [`GEMM_TILE_MIN_FLOPS`], a register-tiled kernel past it whose row loop
-//! runs on the `le_pool` worker pool past [`GEMM_PAR_MIN_FLOPS`], with
-//! bit-identical results on every path and at every pool width.
+//! (layer weights up to a few thousand per side). The three matmul variants,
+//! and their allocation-free slice forms [`matmul_into`], [`t_matmul_into`]
+//! and [`matmul_t_into`], share one private product routine that reads a
+//! transposed operand through its strides: a rows-as-lanes register tile
+//! for narrow outputs (at most [`NARROW_N`] columns), an ikj loop for wide
+//! outputs below [`GEMM_TILE_MIN_FLOPS`] and a register-tiled kernel past
+//! it; past [`GEMM_PAR_MIN_FLOPS`] the rows split across the `le_pool`
+//! workers. Results are bit-identical on every path and at every pool
+//! width.
+
+use std::sync::{Mutex, PoisonError};
 
 use crate::rng::Rng;
 use crate::{LinalgError, Result};
 
-/// FLOP count (`m·n·k`) from which products run the register-tiled
+/// FLOP count (`m·n·k`) from which wide products run the register-tiled
 /// kernel instead of the ikj loop: below it the ikj loop's exact-zero skip
 /// and lack of tile setup win, which unoptimized builds feel most.
 const GEMM_TILE_MIN_FLOPS: usize = 1 << 15;
-/// FLOP count past which the tiled kernel's row loop is dispatched on the
-/// worker pool.
+/// FLOP count past which a product's rows are split across the worker
+/// pool.
 const GEMM_PAR_MIN_FLOPS: usize = 1 << 17;
-/// Target FLOPs per parallel chunk of output rows (grain for the pool's
-/// claiming cursor).
+/// Target FLOPs per pool task (a whole number of output rows).
 const GEMM_CHUNK_FLOPS: usize = 1 << 16;
+/// Slots of the stack array that hands a split product's output windows
+/// to its pool tasks (a larger split shares slots), so a split allocates
+/// nothing.
+const GEMM_MAX_TASKS: usize = 32;
 
 /// Dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,8 +158,7 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix product `self * rhs`, computed by the one product routine on
-    /// `rhs`'s natural `(k, n)` layout.
+    /// Matrix product `self * rhs`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -159,10 +167,13 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        product(&self.data, self.rows, self.cols, rhs)
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let (a, b) = (Strided::natural(&self.data, self.cols), Strided::natural(&rhs.data, rhs.cols));
+        product(a, b, (self.rows, self.cols, rhs.cols), &mut out.data);
+        Ok(out)
     }
 
-    /// `self^T * rhs`: the product routine on a transposed copy of `self`.
+    /// `self^T * rhs`, reading `self` through its strides.
     pub fn t_matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.rows != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -171,10 +182,13 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        product(&self.transpose().data, self.cols, self.rows, rhs)
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        let (a, b) = (Strided::transposed(&self.data, self.cols), Strided::natural(&rhs.data, rhs.cols));
+        product(a, b, (self.cols, self.rows, rhs.cols), &mut out.data);
+        Ok(out)
     }
 
-    /// `self * rhs^T`: the product routine on a transposed copy of `rhs`.
+    /// `self * rhs^T`, reading `rhs` through its strides.
     pub fn matmul_t(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.cols {
             return Err(LinalgError::ShapeMismatch {
@@ -183,18 +197,10 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        product(&self.data, self.rows, self.cols, &rhs.transpose())
-    }
-
-    /// Explicit transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
-        out
+        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let (a, b) = (Strided::natural(&self.data, self.cols), Strided::transposed(&rhs.data, rhs.cols));
+        product(a, b, (self.rows, self.cols, rhs.rows), &mut out.data);
+        Ok(out)
     }
 
     /// Element-wise addition.
@@ -291,11 +297,6 @@ impl Matrix {
         self.data.iter().sum()
     }
 
-    /// Max absolute element (0 for an empty matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-    }
-
     /// Extract the rows at `indices` into a new matrix (mini-batch gather).
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
@@ -307,205 +308,370 @@ impl Matrix {
     }
 }
 
-/// The one product routine behind [`Matrix::matmul`],
-/// [`Matrix::t_matmul`] and [`Matrix::matmul_t`]: `a * b` for an `(m, k)`
-/// row-major slice `a` and a natural-layout `(k, n)` matrix `b`. Below
-/// [`GEMM_TILE_MIN_FLOPS`] an ikj loop accumulates into each output row
-/// and skips exact-zero `a` elements (dropout zeroes activations); past
-/// it the register-tiled [`gemm_rm_into`] kernel runs. On
-/// both paths every output element is one ascending-k `mul_add` chain from
-/// 0.0 — the skip only leaves out `fma(0, b, s)` terms, which leave a
-/// chain started at 0.0 unchanged for every finite `b` — so the two paths
-/// agree to the bit with each other and with [`dot`].
-fn product(a: &[f64], m: usize, k: usize, b: &Matrix) -> Result<Matrix> {
-    let n = b.cols;
-    let mut out = Matrix::zeros(m, n);
-    if m * n * k >= GEMM_TILE_MIN_FLOPS {
-        gemm_rm_into(a, m, k, b, &mut out.data)?;
-        return Ok(out);
-    }
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out.data[i * n..(i + 1) * n];
-        for (t, &ait) in a_row.iter().enumerate() {
-            if ait == 0.0 { // lint:allow(float-hygiene): exact-zero sparsity skip, any other value must multiply
-                continue;
-            }
-            let b_row = &b.data[t * n..(t + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o = ait.mul_add(bv, *o);
-            }
-        }
-    }
-    Ok(out)
+/// Output width up to which a product runs the narrow rows-as-lanes tile.
+const NARROW_N: usize = 8;
+/// Output rows per narrow tile: the rows are the vector lanes, so one
+/// `b` element is broadcast against eight rows' activations at a time.
+const NARROW_RL: usize = 8;
+/// Row-tile height of the wide kernel: two output rows share each
+/// streamed pass over a `b` row.
+const WIDE_MR: usize = 2;
+/// Column-tile width of the wide kernel: sixteen f64 lanes (four AVX2
+/// vectors) accumulate per output row. The 2×16 tile holds eight
+/// accumulator vectors plus the four `b` vectors and a broadcast —
+/// thirteen of the sixteen AVX registers — giving enough independent FMA
+/// chains to hide the latency without spilling.
+const WIDE_NR: usize = 16;
+/// Depth of a staged panel: the `k` range a tile accumulates before its
+/// partial sums go back to the output. Whole-`k` for the workspace's
+/// layers (k ≤ 64), so those never reload a partial sum.
+const KC: usize = 64;
+
+/// A product operand on row-major storage: element `(r, c)` is
+/// `data[r * rs + c * cs]`, so a transposed read swaps the strides and no
+/// transpose is ever materialized.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f64],
+    rs: usize,
+    cs: usize,
 }
 
-/// Row-tile height of the natural-layout GEMM kernel: two independent
-/// output rows share each streamed pass over a `b` row.
-const GEMM_RM_MR: usize = 2;
-/// Column-tile width of the natural-layout GEMM kernel: sixteen f64 lanes
-/// (four AVX2 vectors) accumulate per output row. The 2×16 tile holds
-/// eight accumulator vectors plus the four `b` vectors and a broadcast —
-/// thirteen of the sixteen AVX registers — giving enough independent FMA
-/// chains to hide the latency without spilling (wider row tiles measured
-/// slower for exactly that reason).
-const GEMM_RM_NR: usize = 16;
-/// Padded column width of the narrow-output path: outputs with
-/// `n < GEMM_RM_NR / 2` (e.g. a 3-wide regression head) are computed
-/// through a zero-padded `(k, 8)` staging copy of `b` so the inner loop
-/// stays a fixed-width vectorizable tile. Pad lanes accumulate
-/// `fma(a, 0, s)` and are simply not copied out, so the real columns'
-/// ascending-k chains are untouched — measured ~5× over a ragged scalar
-/// tail on the 64→3 output layer.
-const GEMM_RM_NARROW: usize = 8;
+impl<'a> Strided<'a> {
+    /// Storage with `cols` columns, read as stored.
+    fn natural(data: &'a [f64], cols: usize) -> Self {
+        Self { data, rs: cols, cs: 1 }
+    }
 
-/// The register-tiled natural-layout GEMM kernel on raw row-major storage:
-/// `out = a * b` where `a` is an `(m, k)` row-major slice, `b` keeps its
-/// **natural** `(k, n)` layout (no transpose is ever materialized), and
-/// `out` is the caller-owned `(m, n)` row-major output — the wide path
-/// allocates nothing; narrow outputs (`n <` [`GEMM_RM_NARROW`]) stage one
-/// small zero-padded copy of `b` per call. The loop nest is ikj over
-/// [`GEMM_RM_MR`]×[`GEMM_RM_NR`] register tiles: for each `t` in `0..k`
-/// the tile reads one contiguous sliver of `b`'s row `t` and feeds
-/// [`GEMM_RM_MR`] independent accumulator rows, which the compiler
-/// auto-vectorizes (the workspace forbids `unsafe`, so wide registers are
-/// reached through codegen, not intrinsics). A ragged column tail
-/// (`n % GEMM_RM_NR`) runs the same row-blocked accumulation over the
-/// leftover lanes so mid-width shapes keep the cross-row ILP.
-///
-/// Every output element is accumulated in strictly ascending-`t` order
-/// with one **fused multiply-add** per term (`f64::mul_add` — a single
-/// rounding, exactly specified by IEEE 754, so the same bits on every
-/// conforming host). All inner-product paths in this module use the same
-/// contraction, so the result is **bit-identical** to [`dot`], to the ikj
-/// loop of [`product`], and between the sequential path and the
-/// pool-parallel path used past [`GEMM_PAR_MIN_FLOPS`] —
-/// vector width changes how many independent column sums advance
-/// together, never the order or rounding of any one sum.
-fn gemm_rm_into(
-    a: &[f64],
-    m: usize,
-    k: usize,
-    b: &Matrix,
-    out: &mut [f64],
-) -> Result<()> {
-    let n = b.cols;
-    if a.len() != m * k || b.rows != k || out.len() != m * n {
+    /// Storage with `cols` columns, read transposed.
+    fn transposed(data: &'a [f64], cols: usize) -> Self {
+        Self { data, rs: 1, cs: cols }
+    }
+
+    #[inline(always)]
+    fn at(self, r: usize, c: usize) -> f64 {
+        self.data[r * self.rs + c * self.cs]
+    }
+}
+
+/// Check the slice lengths of an `(m, k) · (k, n)` product.
+fn check_lengths(op: &'static str, a: &[f64], b: &[f64], (m, k, n): (usize, usize, usize), out: &[f64]) -> Result<()> {
+    if a.len() != m * k || b.len() != k * n || out.len() != m * n {
         return Err(LinalgError::ShapeMismatch {
-            op: "gemm_rm_into",
+            op,
             lhs: (m, k),
-            rhs: b.shape(),
+            rhs: (k, n),
         });
-    }
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    let padded: Vec<f64>;
-    let narrow = n < GEMM_RM_NARROW;
-    if narrow {
-        let mut bp = vec![0.0f64; k * GEMM_RM_NARROW];
-        for t in 0..k {
-            bp[t * GEMM_RM_NARROW..t * GEMM_RM_NARROW + n]
-                .copy_from_slice(&b.data[t * n..(t + 1) * n]);
-        }
-        padded = bp;
-    } else {
-        padded = Vec::new();
-    }
-    let kernel = |row0: usize, rows_out: &mut [f64]| {
-        if narrow {
-            gemm_rm_rows_narrow(a, k, &padded, n, row0, rows_out);
-        } else {
-            gemm_rm_rows(a, k, &b.data, n, row0, rows_out);
-        }
-    };
-    let flops = m * n * k.max(1);
-    if flops >= GEMM_PAR_MIN_FLOPS {
-        let rows_per_chunk = (GEMM_CHUNK_FLOPS / (n * k.max(1))).clamp(1, m);
-        le_pool::par_for_chunks(out, rows_per_chunk * n, |start, chunk| {
-            kernel(start / n, chunk)
-        });
-    } else {
-        kernel(0, out);
     }
     Ok(())
 }
 
-/// Worker for [`gemm_rm_into`]: fill `out` (a whole-rows window of the
-/// `(m, n)` result starting at absolute row `row0`) from `a` and the
-/// natural-layout `b`. Split out so the sequential and pool-chunked paths
-/// share one body.
-fn gemm_rm_rows(a: &[f64], k: usize, b: &[f64], n: usize, row0: usize, out: &mut [f64]) {
+/// `out = a · b` for a row-major `(m, k)` slice `a` and `(k, n)` slice
+/// `b`, into the caller's `(m, n)` slice: [`Matrix::matmul`] without the
+/// allocation.
+pub fn matmul_into(a: &[f64], b: &[f64], mkn: (usize, usize, usize), out: &mut [f64]) -> Result<()> {
+    check_lengths("matmul_into", a, b, mkn, out)?;
+    product(Strided::natural(a, mkn.1), Strided::natural(b, mkn.2), mkn, out);
+    Ok(())
+}
+
+/// `out = aᵀ · b` for `a` stored row-major `(k, m)` and `b` `(k, n)`:
+/// [`Matrix::t_matmul`] without the allocation.
+pub fn t_matmul_into(a: &[f64], b: &[f64], mkn: (usize, usize, usize), out: &mut [f64]) -> Result<()> {
+    check_lengths("t_matmul_into", a, b, mkn, out)?;
+    product(Strided::transposed(a, mkn.0), Strided::natural(b, mkn.2), mkn, out);
+    Ok(())
+}
+
+/// `out = a · bᵀ` for `a` stored row-major `(m, k)` and `b` `(n, k)`:
+/// [`Matrix::matmul_t`] without the allocation.
+pub fn matmul_t_into(a: &[f64], b: &[f64], mkn: (usize, usize, usize), out: &mut [f64]) -> Result<()> {
+    check_lengths("matmul_t_into", a, b, mkn, out)?;
+    product(Strided::natural(a, mkn.1), Strided::transposed(b, mkn.1), mkn, out);
+    Ok(())
+}
+
+/// The one product routine: `out = a · b` for an `(m, k)` operand `a` and a
+/// `(k, n)` operand `b`, either read through its strides, into the
+/// row-major `(m, n)` slice `out`. It allocates nothing.
+///
+/// Every output element is one ascending-k chain of fused multiply-adds
+/// (`f64::mul_add`: a single rounding, exactly specified by IEEE 754, so
+/// the same bits on every conforming host) from 0.0 — the contraction of
+/// [`dot`]. The paths differ only in how many chains advance together:
+///
+/// * **Narrow** (`n ≤` [`NARROW_N`]): [`narrow_rows`], eight rows as
+///   vector lanes against each broadcast `b` element.
+/// * **Wide, below [`GEMM_TILE_MIN_FLOPS`]**: an ikj loop that accumulates
+///   whole output rows.
+/// * **Wide, from it on**: the [`WIDE_MR`]×[`WIDE_NR`] register tile.
+///
+/// The narrow tile and the ikj loop leave out the terms of exact-zero `a`
+/// elements (dropout zeroes activations); the tile does so as a select.
+/// For a finite `b` that changes no bit, since `fma(±0, b, s)` leaves a
+/// chain started at 0.0 unchanged. Past [`GEMM_PAR_MIN_FLOPS`] whole rows
+/// go to pool tasks of about [`GEMM_CHUNK_FLOPS`] each; each element is
+/// still computed by one task, so the pool width cannot move a bit.
+fn product(a: Strided, b: Strided, (m, k, n): (usize, usize, usize), out: &mut [f64]) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let flops = m * n * k;
+    let kernel = |row0: usize, rows: &mut [f64]| {
+        if n <= NARROW_N {
+            narrow_rows(a, b, k, n, row0, rows);
+        } else {
+            wide_rows(a, b, k, n, flops >= GEMM_TILE_MIN_FLOPS, row0, rows);
+        }
+    };
+    if flops < GEMM_PAR_MIN_FLOPS {
+        kernel(0, out);
+        return;
+    }
+    let task_rows = (GEMM_CHUNK_FLOPS / (n * k)).clamp(1, m);
+    let tasks = m.div_ceil(task_rows);
+    // Task `t`'s window is handed out by slot `t / per_slot`, which holds
+    // `per_slot` consecutive windows; each task takes the next window of
+    // its slot, so every window is computed once, by one task.
+    let per_slot = tasks.div_ceil(GEMM_MAX_TASKS);
+    let mut groups = out.chunks_mut(per_slot * task_rows * n);
+    let slots: [Mutex<_>; GEMM_MAX_TASKS] = std::array::from_fn(|_| {
+        Mutex::new(groups.next().unwrap_or_default().chunks_mut(task_rows * n).enumerate())
+    });
+    le_pool::par_for_each(tasks, |t| {
+        let s = t / per_slot;
+        // A poisoned slot still hands out whole windows.
+        let window = slots[s].lock().unwrap_or_else(PoisonError::into_inner).next();
+        if let Some((i, rows)) = window {
+            kernel((s * per_slot + i) * task_rows, rows);
+        }
+    });
+}
+
+/// Narrow-output worker of [`product`]: fill `out` (whole rows of the
+/// `(m, n)` result from absolute row `row0` on, `n ≤` [`NARROW_N`]) in
+/// groups of at most four columns. Per [`KC`]-deep slice of `k`, `b` is
+/// staged once as a zero-padded `(KC,` [`NARROW_N`]`)` panel and each
+/// [`NARROW_RL`]-row tile's `a` as a `(KC, NARROW_RL)` lane panel (pad
+/// rows zero).
+fn narrow_rows(a: Strided, b: Strided, k: usize, n: usize, row0: usize, out: &mut [f64]) {
     let rows = out.len() / n;
-    let full = n / GEMM_RM_NR * GEMM_RM_NR;
-    let mut r0 = 0;
-    while r0 < rows {
-        let mr = GEMM_RM_MR.min(rows - r0);
-        let mut j0 = 0;
-        while j0 < full {
-            let mut acc = [[0.0f64; GEMM_RM_NR]; GEMM_RM_MR];
-            for t in 0..k {
-                let brow = &b[t * n + j0..t * n + j0 + GEMM_RM_NR];
-                for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                    let av = a[(row0 + r0 + r) * k + t];
-                    for (s, &bv) in accr.iter_mut().zip(brow.iter()) {
-                        *s = av.mul_add(bv, *s);
+    let mut bpanel = [[0.0f64; NARROW_N]; KC];
+    let mut apanel = [[0.0f64; NARROW_RL]; KC];
+    for t0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - t0);
+        for (t, bt) in bpanel.iter_mut().enumerate().take(kc) {
+            for (c, v) in bt.iter_mut().enumerate().take(n) {
+                *v = b.at(t0 + t, c);
+            }
+        }
+        for r0 in (0..rows).step_by(NARROW_RL) {
+            let lanes = NARROW_RL.min(rows - r0);
+            // Rows (a natural `a`) or columns (a transposed one) of `a` are
+            // contiguous; pad lanes of a ragged last tile are zero.
+            let a0 = (row0 + r0) * a.rs + t0 * a.cs;
+            if a.cs == 1 {
+                for r in 0..lanes {
+                    for (at, &v) in apanel.iter_mut().zip(&a.data[a0 + r * a.rs..a0 + r * a.rs + kc]) {
+                        at[r] = v;
+                    }
+                }
+            } else {
+                for (t, at) in apanel.iter_mut().enumerate().take(kc) {
+                    let col = &a.data[a0 + t * a.cs..];
+                    for (r, v) in at.iter_mut().enumerate().take(lanes) {
+                        *v = col[r * a.rs];
                     }
                 }
             }
-            for (r, accr) in acc.iter().enumerate().take(mr) {
-                out[(r0 + r) * n + j0..(r0 + r) * n + j0 + GEMM_RM_NR].copy_from_slice(accr);
-            }
-            j0 += GEMM_RM_NR;
-        }
-        if full < n {
-            // Ragged column tail (covers every n < GEMM_RM_NR shape too):
-            // same row-blocked ascending-t accumulation over the leftover
-            // lanes, so even an n=3 output layer keeps `mr` independent
-            // chains in flight.
-            let rem = n - full;
-            let mut acc = [[0.0f64; GEMM_RM_NR]; GEMM_RM_MR];
-            for t in 0..k {
-                let brow = &b[t * n + full..(t + 1) * n];
-                for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                    let av = a[(row0 + r0 + r) * k + t];
-                    for (s, &bv) in accr.iter_mut().zip(brow.iter()) {
-                        *s = av.mul_add(bv, *s);
-                    }
+            if lanes < NARROW_RL {
+                for at in &mut apanel[..kc] {
+                    at[lanes..].fill(0.0);
                 }
             }
-            for (r, accr) in acc.iter().enumerate().take(mr) {
-                out[(r0 + r) * n + full..(r0 + r) * n + n].copy_from_slice(&accr[..rem]);
+            let tile = &mut out[r0 * n..(r0 + lanes) * n];
+            let panels = (&apanel[..kc], &bpanel[..kc]);
+            let mut c0 = 0;
+            while c0 < n {
+                let cols = (n - c0).min(4);
+                macro_rules! group {
+                    ($nc:literal) => {
+                        match (t0 > 0, lanes == NARROW_RL) {
+                            (false, true) => narrow_tile::<$nc, false, true>(panels, c0, n, tile),
+                            (false, false) => narrow_tile::<$nc, false, false>(panels, c0, n, tile),
+                            (true, true) => narrow_tile::<$nc, true, true>(panels, c0, n, tile),
+                            (true, false) => narrow_tile::<$nc, true, false>(panels, c0, n, tile),
+                        }
+                    };
+                }
+                match cols {
+                    1 => group!(1),
+                    2 => group!(2),
+                    3 => group!(3),
+                    _ => group!(4),
+                }
+                c0 += cols;
             }
         }
-        r0 += mr;
     }
 }
 
-/// Narrow-output worker for [`gemm_rm_into`]: `bp` is the zero-padded
-/// `(k, GEMM_RM_NARROW)` staging copy of `b`. The tile loop always runs
-/// the fixed padded width (vectorizable); only the first `n` lanes of
-/// each accumulator row are copied out, and pad lanes never touch them —
-/// the real columns' ascending-k fma chains are bit-identical to the
-/// generic worker's.
-fn gemm_rm_rows_narrow(a: &[f64], k: usize, bp: &[f64], n: usize, row0: usize, out: &mut [f64]) {
-    const NP: usize = GEMM_RM_NARROW;
-    const MR: usize = 4; // scalar-free tile: more rows per pass hides fma latency
+/// Columns `c0..c0 + NC` of one narrow tile: the tile's rows `out` (row
+/// stride `n`), from the staged lane panel `ap` and `b` panel `bp`. The
+/// `NC ×` [`NARROW_RL`] accumulators stay in registers when `FULL` (the
+/// tile has all its rows), since then every copy in or out of them has a
+/// fixed trip count; with `LOAD` they start from the partial sums an
+/// earlier slice of `k` left in `out`. A zero `a` lane keeps its sum (the
+/// sparsity skip, as a select); pad rows are never stored.
+#[inline(never)]
+fn narrow_tile<const NC: usize, const LOAD: bool, const FULL: bool>(
+    (ap, bp): (&[[f64; NARROW_RL]], &[[f64; NARROW_N]]),
+    c0: usize,
+    n: usize,
+    out: &mut [f64],
+) {
+    let lanes = if FULL { NARROW_RL } else { out.len() / n };
+    let mut acc = [[0.0f64; NARROW_RL]; NC];
+    if LOAD {
+        for r in 0..lanes {
+            for c in 0..NC {
+                acc[c][r] = out[r * n + c0 + c];
+            }
+        }
+    }
+    for (at, bt) in ap.iter().zip(bp) {
+        for (c, accc) in acc.iter_mut().enumerate() {
+            let bv = bt[c0 + c];
+            for (s, &av) in accc.iter_mut().zip(at) {
+                let skip = av == 0.0; // lint:allow(float-hygiene): exact-zero sparsity skip, any other value must multiply
+                *s = if skip { *s } else { av.mul_add(bv, *s) };
+            }
+        }
+    }
+    for r in 0..lanes {
+        for c in 0..NC {
+            out[r * n + c0 + c] = acc[c][r];
+        }
+    }
+}
+
+/// Wide-output worker of [`product`]: fill `out` (whole rows of the
+/// `(m, n)` result from absolute row `row0` on, `n >` [`NARROW_N`]) with
+/// the register tile (`tiled`) or the ikj loop, per column block:
+/// [`WIDE_NR`] columns for the tile, whole rows for the ikj loop on a
+/// natural `b`, and as many columns as the staging panel holds for the
+/// ikj loop on a transposed `b`. A natural `b` is read in place over all
+/// of `k` when the block is whole (or the loop is ikj); otherwise each
+/// [`KC`]-deep slice of `k` is staged into the panel, and the partial
+/// sums of a longer `k` wait in `out`, which stores them exactly.
+fn wide_rows(a: Strided, b: Strided, k: usize, n: usize, tiled: bool, row0: usize, out: &mut [f64]) {
+    let rows = out.len() / n;
+    let mut panel = [0.0f64; KC * WIDE_NR];
+    let block = match (tiled, b.cs == 1) {
+        (true, _) => WIDE_NR,
+        (false, true) => n,
+        (false, false) => (panel.len() / k.min(KC)).clamp(1, n),
+    };
+    for j0 in (0..n).step_by(block) {
+        let w = block.min(n - j0);
+        let direct = b.cs == 1 && (w == WIDE_NR || !tiled);
+        let depth = if direct { k } else { KC };
+        for t0 in (0..k).step_by(depth) {
+            let kc = depth.min(k - t0);
+            // Row `t` of `bp` (stride `bs`) is `b`'s row `t0 + t` from
+            // column `j0` on.
+            let (bp, bs) = if direct {
+                (&b.data[t0 * b.rs + j0..], b.rs)
+            } else {
+                let stride = if tiled { WIDE_NR } else { w };
+                for (t, prow) in panel.chunks_exact_mut(stride).enumerate().take(kc) {
+                    for (c, v) in prow.iter_mut().enumerate() {
+                        *v = if c < w { b.at(t0 + t, j0 + c) } else { 0.0 };
+                    }
+                }
+                (&panel[..], stride)
+            };
+            if tiled {
+                let args = (a, (bp, bs), kc, (n, w), (row0, t0, j0));
+                match (t0 > 0, w == WIDE_NR) {
+                    (false, true) => wide_tiles::<false, true>(args, out),
+                    (false, false) => wide_tiles::<false, false>(args, out),
+                    (true, true) => wide_tiles::<true, true>(args, out),
+                    (true, false) => wide_tiles::<true, false>(args, out),
+                }
+                continue;
+            }
+            for r in 0..rows {
+                let seg = &mut out[r * n + j0..r * n + j0 + w];
+                if t0 == 0 {
+                    seg.fill(0.0);
+                }
+                for t in 0..kc {
+                    let av = a.at(row0 + r, t0 + t);
+                    if av == 0.0 { // lint:allow(float-hygiene): exact-zero sparsity skip, any other value must multiply
+                        continue;
+                    }
+                    for (o, &bv) in seg.iter_mut().zip(&bp[t * bs..t * bs + w]) {
+                        *o = av.mul_add(bv, *o);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Arguments of [`wide_tiles`]: `a`, `b`'s rows as `(bp, bs)` (row `t` of
+/// the slice at `bp[t * bs..][..WIDE_NR]`), the slice depth `kc`, `(n, w)`
+/// (the output's width and the block's real columns) and
+/// `(row0, t0, j0)` (where the rows, the slice of `k` and the block start).
+type TileArgs<'a> = (Strided<'a>, (&'a [f64], usize), usize, (usize, usize), (usize, usize, usize));
+
+/// The [`WIDE_MR`]×[`WIDE_NR`] register tiles of [`wide_rows`] over one
+/// column block and one slice of `k`; with `LOAD` the accumulators start
+/// from the partial sums an earlier slice left in `out`, and `FULL` says
+/// the block is [`WIDE_NR`] wide. Each combination compiles apart, so the
+/// common one (first slice, whole block) keeps its accumulators in
+/// registers.
+#[inline(never)]
+fn wide_tiles<const LOAD: bool, const FULL: bool>((a, (bp, bs), kc, (n, w), (row0, t0, j0)): TileArgs, out: &mut [f64]) {
     let rows = out.len() / n;
     let mut r0 = 0;
     while r0 < rows {
-        let mr = MR.min(rows - r0);
-        let mut acc = [[0.0f64; NP]; MR];
-        for (t, brow) in bp.chunks_exact(NP).enumerate() {
+        let mr = WIDE_MR.min(rows - r0);
+        // With `FULL` every copy in or out of `acc` has the fixed length
+        // `WIDE_NR`, which keeps it in registers; a ragged block (`w <
+        // WIDE_NR`, the last one of a row at most) copies `w` lanes.
+        let mut acc = [[0.0f64; WIDE_NR]; WIDE_MR];
+        if LOAD {
             for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                let av = a[(row0 + r0 + r) * k + t];
+                let o = (r0 + r) * n + j0;
+                if FULL {
+                    accr.copy_from_slice(&out[o..o + WIDE_NR]);
+                } else {
+                    accr[..w].copy_from_slice(&out[o..o + w]);
+                }
+            }
+        }
+        for t in 0..kc {
+            let brow = &bp[t * bs..t * bs + WIDE_NR];
+            for (r, accr) in acc.iter_mut().enumerate().take(mr) {
+                let av = a.at(row0 + r0 + r, t0 + t);
                 for (s, &bv) in accr.iter_mut().zip(brow.iter()) {
                     *s = av.mul_add(bv, *s);
                 }
             }
         }
         for (r, accr) in acc.iter().enumerate().take(mr) {
-            out[(r0 + r) * n..(r0 + r + 1) * n].copy_from_slice(&accr[..n]);
+            let o = (r0 + r) * n + j0;
+            if FULL {
+                out[o..o + WIDE_NR].copy_from_slice(accr);
+            } else {
+                out[o..o + w].copy_from_slice(&accr[..w]);
+            }
         }
         r0 += mr;
     }
@@ -531,6 +697,16 @@ pub fn norm(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn transpose(m: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(m.cols(), m.rows());
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                t.set(j, i, m.get(i, j));
+            }
+        }
+        t
+    }
 
     #[test]
     fn matmul_identity() {
@@ -582,53 +758,117 @@ mod tests {
             (30, 45, 70),
             (256, 64, 48),
             (300, 64, 7),             // narrow and pool-dispatched
+            (1100, 64, 64),           // more pool tasks than window slots
+            // Narrow heads (n ≤ 8) at row counts off every row tile,
+            // below the cut, above it, and pool-dispatched.
+            (1, 64, 1),
+            (7, 64, 1),
+            (33, 64, 1),
+            (517, 64, 1),
+            (5, 5, 3),
+            (13, 64, 3),
+            (37, 64, 3),
+            (1031, 64, 3),
+            (3, 64, 5),
+            (29, 64, 5),
+            (7, 33, 5),
+            (515, 64, 5),
+            (9, 64, 8),
+            (61, 64, 8),
+            (259, 64, 8),
         ] {
             let mut a = Matrix::he_uniform(m, k, k, &mut rng);
             for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
                 if i % 5 == 2 {
                     *v *= 0.0;
                 }
+                if i % 11 == 4 {
+                    *v = -0.0;
+                }
             }
-            let b = Matrix::he_uniform(k, n, k, &mut rng);
-            let bt = b.transpose();
-            let results = [
-                ("matmul", a.matmul(&b).unwrap()),
-                ("t_matmul", a.transpose().t_matmul(&b).unwrap()),
-                ("matmul_t", a.matmul_t(&bt).unwrap()),
-            ];
-            for (name, c) in &results {
-                assert_eq!(c.shape(), (m, n), "{name} shape at ({m},{k},{n})");
-                for i in 0..m {
-                    for j in 0..n {
-                        assert_eq!(
-                            c.get(i, j).to_bits(),
-                            dot(a.row(i), bt.row(j)).to_bits(),
-                            "{name} element ({i},{j}) differs at shape ({m},{k},{n})"
-                        );
+            let mut b = Matrix::he_uniform(k, n, k, &mut rng);
+            for (i, v) in b.as_mut_slice().iter_mut().enumerate() {
+                if i % 13 == 6 {
+                    *v = -0.0;
+                }
+            }
+            check_products(&a, &b, (m, k, n));
+        }
+    }
+
+    /// `matmul`, `t_matmul` and `matmul_t` of `a · b` against the
+    /// ascending-k chain of every output element, computed directly.
+    /// The chain skips exact-zero `a` elements, the ikj loop's sparsity
+    /// skip: for a finite `b` that is the chain `dot` computes, since
+    /// `fma(±0, b, s)` leaves a sum started at `0.0` unchanged.
+    fn check_products(a: &Matrix, b: &Matrix, (m, k, n): (usize, usize, usize)) {
+        let bt = transpose(b);
+        let chain = |i: usize, j: usize| {
+            a.row(i)
+                .iter()
+                .zip(bt.row(j))
+                .fold(0.0f64, |s, (&x, &y)| if x == 0.0 { s } else { x.mul_add(y, s) })
+        };
+        let results = [
+            ("matmul", a.matmul(b).unwrap()),
+            ("t_matmul", transpose(a).t_matmul(b).unwrap()),
+            ("matmul_t", a.matmul_t(&bt).unwrap()),
+        ];
+        for (name, c) in &results {
+            assert_eq!(c.shape(), (m, n), "{name} shape at ({m},{k},{n})");
+            for i in 0..m {
+                for j in 0..n {
+                    let want = chain(i, j);
+                    if bt.row(j).iter().all(|v| v.is_finite()) {
+                        assert_eq!(want.to_bits(), dot(a.row(i), bt.row(j)).to_bits());
                     }
+                    assert_eq!(
+                        c.get(i, j).to_bits(),
+                        want.to_bits(),
+                        "{name} element ({i},{j}) differs at shape ({m},{k},{n})"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn gemm_rm_handles_empty_and_mismatched_shapes() {
-        let b = Matrix::zeros(4, 0);
-        let mut out = [0.0f64; 0];
-        gemm_rm_into(&[0.0; 8], 2, 4, &b, &mut out).unwrap();
-        let b2 = Matrix::zeros(3, 2);
-        let mut out2 = [0.0f64; 4];
-        assert!(matches!(
-            gemm_rm_into(&[0.0; 8], 2, 4, &b2, &mut out2),
-            Err(LinalgError::ShapeMismatch { op: "gemm_rm_into", .. })
-        ));
+    fn a_zero_activation_skips_an_infinite_weight() {
+        // Dropout zeroes an activation; the weight it would meet is
+        // infinite. Below the tiled cut the product leaves that term out,
+        // so each output is the chain of the other terms, not NaN.
+        let mut rng = Rng::new(17);
+        for &(m, k, n) in &[(7usize, 64usize, 1usize), (13, 64, 3), (6, 9, 5), (9, 64, 8), (3, 40, 20)] {
+            let mut a = Matrix::he_uniform(m, k, k, &mut rng);
+            let mut b = Matrix::he_uniform(k, n, k, &mut rng);
+            for i in 0..m {
+                a.set(i, 3, if i % 2 == 0 { 0.0 } else { -0.0 });
+            }
+            b.set(3, n - 1, f64::INFINITY);
+            b.set(3, 0, f64::NEG_INFINITY);
+            check_products(&a, &b, (m, k, n));
+            for i in 0..m {
+                assert!(a.matmul(&b).unwrap().get(i, n - 1).is_finite(), "({m},{k},{n}) row {i}");
+            }
+        }
     }
 
     #[test]
-    fn transpose_involution() {
-        let mut rng = Rng::new(9);
-        let a = Matrix::he_uniform(3, 7, 3, &mut rng);
-        assert_eq!(a.transpose().transpose(), a);
+    fn slice_products_handle_empty_and_mismatched_shapes() {
+        let mut out = [0.0f64; 0];
+        matmul_into(&[0.0; 8], &[], (2, 4, 0), &mut out).unwrap();
+        let mut zeros = [1.0f64; 6];
+        matmul_t_into(&[], &[], (2, 0, 3), &mut zeros).unwrap();
+        assert_eq!(zeros, [0.0; 6], "an empty k sums nothing");
+        let mut out2 = [0.0f64; 4];
+        assert!(matches!(
+            matmul_into(&[0.0; 8], &[0.0; 6], (2, 4, 2), &mut out2),
+            Err(LinalgError::ShapeMismatch { op: "matmul_into", .. })
+        ));
+        assert!(matches!(
+            t_matmul_into(&[0.0; 8], &[0.0; 8], (2, 4, 2), &mut out2[..3]),
+            Err(LinalgError::ShapeMismatch { op: "t_matmul_into", .. })
+        ));
     }
 
     #[test]
@@ -678,7 +918,7 @@ mod tests {
         let m = Matrix::he_uniform(10, 10, fan_in, &mut rng);
         let bound = (6.0 / fan_in as f64).sqrt();
         assert!(m.as_slice().iter().all(|v| v.abs() <= bound));
-        assert!(m.max_abs() > 0.0);
+        assert!(m.as_slice().iter().any(|v| *v != 0.0));
     }
 
     #[test]

@@ -431,11 +431,12 @@ mod tests {
         // Warm up then time both. The debug-mode margin is thin, so the two
         // arms are interleaved per round (a scheduler stall lands on both)
         // and the gate is the median per-round ratio, not one mean that a
-        // single load spike can sink — same scheme as the pipeline test in
-        // tests/bp_potential_pipeline.rs.
+        // single load spike can sink — same scheme, and the same nine
+        // rounds, as the pipeline test in tests/bp_potential_pipeline.rs:
+        // host load must cover five of them to move the median.
         let _ = reference.energy(&pos);
         let _ = pot.energy(&pos);
-        let (rounds, reps) = (5, 4);
+        let (rounds, reps) = (9, 4);
         let mut ratios = Vec::with_capacity(rounds);
         for _ in 0..rounds {
             let t0 = std::time::Instant::now();

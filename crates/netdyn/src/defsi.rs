@@ -20,7 +20,7 @@
 use le_linalg::{Matrix, Rng};
 use le_pool as pool;
 use le_nn::optimizer::OptimizerState;
-use le_nn::{loss, Mlp, MlpConfig, Scaler};
+use le_nn::{Mlp, MlpConfig, NnError, Scaler, TrainArena};
 
 use crate::epifast::EpiFast;
 use crate::population::Population;
@@ -212,6 +212,20 @@ fn hsplit(m: &Matrix, left_cols: usize) -> (Matrix, Matrix) {
     (a, b)
 }
 
+fn internal(e: NnError) -> NetError {
+    NetError::Internal(e.to_string())
+}
+
+/// Forward the rows `chunk` of `x` through `net` on its training arena,
+/// dropout drawn from `rng`, and return the output rows.
+fn forward_rows(arena: &mut TrainArena, net: &Mlp, x: &Matrix, chunk: &[usize], rng: &mut Rng) -> Result<Matrix> {
+    for (dst, &i) in arena.input_mut(chunk.len()).chunks_exact_mut(x.cols()).zip(chunk) {
+        dst.copy_from_slice(x.row(i));
+    }
+    let out = arena.forward(net, Some(rng)).map_err(internal)?;
+    Matrix::from_vec(chunk.len(), net.out_dim(), out.to_vec()).map_err(|e| NetError::Internal(e.to_string()))
+}
+
 impl TwoBranchNet {
     /// Step 3: train the two-branch network on synthetic seasons.
     pub fn train(
@@ -247,57 +261,40 @@ impl TwoBranchNet {
         )
         .map_err(|e| NetError::Internal(e.to_string()))?;
 
-        let n_blocks = branch_a.n_param_blocks() + branch_b.n_param_blocks() + head.n_param_blocks();
-        let mut opt = OptimizerState::new(cfg.lr, n_blocks);
+        let (blocks_a, blocks_b) = (branch_a.n_param_blocks(), branch_b.n_param_blocks());
+        let mut opt = OptimizerState::new(cfg.lr, blocks_a + blocks_b + head.n_param_blocks());
         let n = xa_s.rows();
         let mut order: Vec<usize> = (0..n).collect();
         let mut drop_rng = rng.split();
+        let (mut arena_a, mut arena_b, mut arena_h) =
+            (TrainArena::new(&branch_a), TrainArena::new(&branch_b), TrainArena::new(&head));
 
         for _epoch in 0..cfg.epochs {
             rng.shuffle(&mut order);
             for chunk in order.chunks(cfg.batch) {
-                let a_batch = xa_s.gather_rows(chunk);
-                let b_batch = xb_s.gather_rows(chunk);
                 let y_batch = y_s.gather_rows(chunk);
                 // Forward through both branches, concat, head.
-                let code_a = branch_a
-                    .forward_train(a_batch, &mut drop_rng)
-                    .map_err(|e| NetError::Internal(e.to_string()))?;
-                let code_b = branch_b
-                    .forward_train(b_batch, &mut drop_rng)
-                    .map_err(|e| NetError::Internal(e.to_string()))?;
+                let code_a = forward_rows(&mut arena_a, &branch_a, &xa_s, chunk, &mut drop_rng)?;
+                let code_b = forward_rows(&mut arena_b, &branch_b, &xb_s, chunk, &mut drop_rng)?;
                 let fused = hstack(&code_a, &code_b);
-                let pred = head
-                    .forward_train(fused, &mut drop_rng)
-                    .map_err(|e| NetError::Internal(e.to_string()))?;
-                let (_, grad) = loss::mse(&pred, &y_batch)
-                    .map_err(|e| NetError::Internal(e.to_string()))?;
+                arena_h.input_mut(chunk.len()).copy_from_slice(fused.as_slice());
+                arena_h.forward(&head, Some(&mut drop_rng)).map_err(internal)?;
+                arena_h.mse_grad(y_batch.as_slice()).map_err(internal)?;
                 // Backward: head → split → branches.
-                let grad_fused = head
-                    .backward(&grad)
+                arena_h.backward(&head).map_err(internal)?;
+                let grad_fused = arena_h.input_grad(&head).map_err(internal)?;
+                let grad_fused = Matrix::from_vec(chunk.len(), fused.cols(), grad_fused.to_vec())
                     .map_err(|e| NetError::Internal(e.to_string()))?;
                 let (grad_a, grad_b) = hsplit(&grad_fused, cfg.code_a);
-                branch_a
-                    .backward(&grad_a)
-                    .map_err(|e| NetError::Internal(e.to_string()))?;
-                branch_b
-                    .backward(&grad_b)
-                    .map_err(|e| NetError::Internal(e.to_string()))?;
+                arena_a.output_grad_mut().copy_from_slice(grad_a.as_slice());
+                arena_a.backward(&branch_a).map_err(internal)?;
+                arena_b.output_grad_mut().copy_from_slice(grad_b.as_slice());
+                arena_b.backward(&branch_b).map_err(internal)?;
                 // One optimizer step across all three sub-networks.
                 opt.begin_step();
-                let mut block = 0;
-                branch_a.for_each_param_block(|_, p, g| {
-                    opt.update_slice(block, p, g);
-                    block += 1;
-                });
-                branch_b.for_each_param_block(|_, p, g| {
-                    opt.update_slice(block, p, g);
-                    block += 1;
-                });
-                head.for_each_param_block(|_, p, g| {
-                    opt.update_slice(block, p, g);
-                    block += 1;
-                });
+                arena_a.update(&mut branch_a, &mut opt, 0);
+                arena_b.update(&mut branch_b, &mut opt, blocks_a);
+                arena_h.update(&mut head, &mut opt, blocks_a + blocks_b);
             }
         }
         Ok(Self {

@@ -150,7 +150,7 @@ struct Workspace {
 
 /// Grow `v` to at least `len` elements (never shrinks, so a warm arena is
 /// reused without allocating).
-fn ensure<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+pub(crate) fn ensure<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
     if v.len() < len {
         v.resize(len, T::default());
     }
@@ -533,8 +533,11 @@ impl BatchScratch {
         }
     }
 
-    /// The `(rows × passes, out_dim)` samples of [`BatchScratch::forward_into`]
-    /// (`masks = None`, one pass) and [`BatchScratch::mc_forward_into`].
+    /// The `(rows × passes, out_dim)` samples of the block kernel: fused row
+    /// `r * passes + p` is pass `p` of input row `r`, with masks from the
+    /// per-row substreams of `(mask_seed, first_ordinal + r)` (see the
+    /// module docs); `masks = None` with one pass is
+    /// [`BatchScratch::forward_into`].
     fn samples_into(&mut self, x: &[f64], rows: usize, passes: usize, masks: Option<(u64, u64)>, out: &mut [f64]) {
         let (d_in, od) = (self.in_dim, self.out_dim());
         self.for_blocks(rows, passes, out, passes * od, |me, ws, r0, nb, win| {
@@ -555,32 +558,8 @@ impl BatchScratch {
         Ok(())
     }
 
-    /// Fused MC-dropout forward: all `passes` stochastic passes for all
-    /// `rows` inputs in one batched evaluation. `out` receives the flat
-    /// `(rows × passes, out_dim)` samples with row layout
-    /// `fused_row = r * passes + p` (the `passes` samples of input `r` are
-    /// contiguous). Masks come from the per-row substreams of
-    /// `(mask_seed, first_ordinal + r)` — see the module docs for the
-    /// determinism contract.
-    pub fn mc_forward_into(
-        &mut self,
-        x: &[f64],
-        rows: usize,
-        passes: usize,
-        mask_seed: u64,
-        first_ordinal: u64,
-        out: &mut [f64],
-    ) -> Result<()> {
-        self.check_io(x.len(), rows, out.len(), passes)?;
-        if passes == 0 {
-            return Err(NnError::Shape("mc pass count must be ≥ 1".into()));
-        }
-        self.samples_into(x, rows, passes, Some((mask_seed, first_ordinal)), out);
-        Ok(())
-    }
-
-    /// Fused MC-dropout mean/std: runs the block kernel of
-    /// [`BatchScratch::mc_forward_into`] and reduces each block's samples
+    /// Fused MC-dropout mean/std: runs the block kernel over all `passes`
+    /// stochastic passes of all `rows` inputs and reduces each block's samples
     /// per row with the two-pass Bessel-corrected estimator (mean first,
     /// then `√(Σ(v−m)²/(K−1))`), accumulating passes in ascending order so
     /// the reduction replicates bit-for-bit at any pool width. `mean` and
@@ -718,12 +697,12 @@ mod tests {
         let x = [0.5, -0.5, 0.25, 1.0, 0.0, -1.0];
         let mut a = vec![0.0; 2 * 4 * 1];
         let mut b = vec![0.0; 2 * 4 * 1];
-        s1.mc_forward_into(&x, 2, 4, 99, 0, &mut a).unwrap();
-        s2.mc_forward_into(&x, 2, 4, 99, 0, &mut b).unwrap();
+        s1.samples_into(&x, 2, 4, Some((99, 0)), &mut a);
+        s2.samples_into(&x, 2, 4, Some((99, 0)), &mut b);
         assert_eq!(a, b);
         // And reuse of the same scratch replicates too (arena hygiene).
         let mut c = vec![0.0; 2 * 4 * 1];
-        s1.mc_forward_into(&x, 2, 4, 99, 0, &mut c).unwrap();
+        s1.samples_into(&x, 2, 4, Some((99, 0)), &mut c);
         assert_eq!(a, c);
     }
 
@@ -744,7 +723,7 @@ mod tests {
         let mut scratch = BatchScratch::new(&model);
         let x = [0.1, 0.2, 0.3];
         let mut out = vec![0.0; 5 * 2];
-        scratch.mc_forward_into(&x, 1, 5, 7, 0, &mut out).unwrap();
+        scratch.samples_into(&x, 1, 5, Some((7, 0)), &mut out);
         let point = model.predict_one(&x).unwrap();
         for p in 0..5 {
             assert_eq!(out[p * 2..(p + 1) * 2].to_vec(), point, "pass {p}");
@@ -845,7 +824,7 @@ mod tests {
             let (mask_seed, first) = (seed.wrapping_mul(31), seed % 1000);
             let want = oracle_samples(&model, x, rows, passes, Some((mask_seed, first)));
             let mut got = vec![0.0; rows * passes * od];
-            scratch.mc_forward_into(x, rows, passes, mask_seed, first, &mut got).unwrap();
+            scratch.samples_into(x, rows, passes, Some((mask_seed, first)), &mut got);
             assert_bits_eq(&got, &want, &format!("mc samples, {case}, rows {rows}"));
             let (want_m, want_s) = oracle_mean_std(&want, rows, passes, od);
             let (mut m, mut s) = (vec![0.0; rows * od], vec![0.0; rows * od]);

@@ -1,9 +1,8 @@
-//! Dense layers, activations, and inverted dropout.
+//! Dense layers, activations, and the inverted-dropout rate.
 //!
 //! Layers operate on batches: a batch is a `Matrix` of shape
-//! `(batch, features)`. Each layer caches what it needs during `forward` so
-//! that `backward` can run without re-computation; callers must pair each
-//! `forward` with at most one `backward` (the trainer does).
+//! `(batch, features)`. A layer holds only its parameters; what a training
+//! step writes lives in the arena of [`crate::arena`].
 
 use le_linalg::{Matrix, Rng};
 
@@ -42,8 +41,7 @@ impl Activation {
     }
 }
 
-/// A fully connected layer `y = act(x W + b)` with cached forward state and
-/// accumulated gradients.
+/// A fully connected layer `y = act(x W + b)`.
 #[derive(Debug, Clone)]
 pub struct Dense {
     /// Weights, shape `(in_dim, out_dim)`.
@@ -52,13 +50,6 @@ pub struct Dense {
     pub b: Vec<f64>,
     /// Activation applied after the affine map.
     pub activation: Activation,
-    /// Gradient of the loss w.r.t. `w` from the last backward pass.
-    pub grad_w: Matrix,
-    /// Gradient of the loss w.r.t. `b` from the last backward pass.
-    pub grad_b: Vec<f64>,
-    // Cached forward state.
-    input: Option<Matrix>,
-    post_act: Option<Matrix>,
 }
 
 impl Dense {
@@ -68,10 +59,6 @@ impl Dense {
             w: Matrix::xavier_uniform(in_dim, out_dim, in_dim, out_dim, rng),
             b: vec![0.0; out_dim],
             activation,
-            grad_w: Matrix::zeros(in_dim, out_dim),
-            grad_b: vec![0.0; out_dim],
-            input: None,
-            post_act: None,
         }
     }
 
@@ -85,16 +72,7 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Forward pass for a batch: [`Dense::infer`], caching the input (taken
-    /// by value, so without a copy) and the output for `backward`.
-    pub fn forward(&mut self, x: Matrix) -> Result<Matrix> {
-        let y = self.infer(&x)?;
-        self.input = Some(x);
-        self.post_act = Some(y.clone());
-        Ok(y)
-    }
-
-    /// Inference-only forward: no caching, no allocation of gradient state.
+    /// Inference forward of a batch.
     pub fn infer(&self, x: &Matrix) -> Result<Matrix> {
         if x.cols() != self.in_dim() {
             return Err(NnError::Shape(format!(
@@ -111,40 +89,6 @@ impl Dense {
         Ok(z)
     }
 
-    /// Backward pass: takes `dL/dy` (gradient w.r.t. this layer's output),
-    /// stores `grad_w`/`grad_b`, and returns `dL/dx`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Result<Matrix> {
-        let input = self
-            .input
-            .take()
-            .ok_or_else(|| NnError::Shape("backward without forward".into()))?;
-        let post = self
-            .post_act
-            .take()
-            .ok_or_else(|| NnError::Shape("backward without forward".into()))?;
-        if grad_out.shape() != post.shape() {
-            return Err(NnError::Shape(format!(
-                "grad shape {:?} != output shape {:?}",
-                grad_out.shape(),
-                post.shape()
-            )));
-        }
-        // dL/dz = dL/dy * f'(z), with f' read off the output y = f(z)
-        let act = self.activation;
-        let mut grad_z = grad_out.clone();
-        for (g, &y) in grad_z.as_mut_slice().iter_mut().zip(post.as_slice()) {
-            *g *= act.derivative(y);
-        }
-        // dL/dW = x^T dL/dz ; dL/db = column sums of dL/dz ; dL/dx = dL/dz W^T
-        self.grad_w = input
-            .t_matmul(&grad_z)
-            .map_err(|e| NnError::Shape(e.to_string()))?;
-        self.grad_b = grad_z.col_sums();
-        grad_z
-            .matmul_t(&self.w)
-            .map_err(|e| NnError::Shape(e.to_string()))
-    }
-
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.w.rows() * self.w.cols() + self.b.len()
@@ -153,13 +97,12 @@ impl Dense {
 
 /// Inverted dropout: at train time each unit is zeroed with probability
 /// `rate` and survivors are scaled by `1/(1-rate)`, so inference needs no
-/// rescaling. MC-dropout UQ draws its inference-time masks in the fused
-/// engine of [`crate::batch`] instead.
+/// rescaling. Training draws the masks in [`crate::arena`], MC-dropout UQ
+/// in the fused engine of [`crate::batch`].
 #[derive(Debug, Clone)]
 pub struct Dropout {
     /// Drop probability in `[0, 1)`.
     pub rate: f64,
-    mask: Option<Matrix>,
 }
 
 impl Dropout {
@@ -170,33 +113,7 @@ impl Dropout {
                 "dropout rate must be in [0,1), got {rate}"
             )));
         }
-        Ok(Self { rate, mask: None })
-    }
-
-    /// Stochastic training forward: masks `x` in place.
-    pub fn forward(&mut self, mut x: Matrix, rng: &mut Rng) -> Matrix {
-        if self.rate == 0.0 { // lint:allow(float-hygiene): exact-zero rate disables dropout entirely
-            self.mask = None;
-            return x;
-        }
-        let keep = 1.0 - self.rate;
-        let scale = 1.0 / keep;
-        let mut mask = Matrix::zeros(x.rows(), x.cols());
-        for (m, v) in mask.as_mut_slice().iter_mut().zip(x.as_mut_slice()) {
-            *m = if rng.bernoulli(keep) { scale } else { 0.0 };
-            *v *= *m;
-        }
-        self.mask = Some(mask);
-        x
-    }
-
-    /// Backward: gradient flows only through kept units, with the same
-    /// scaling.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        match self.mask.take() {
-            Some(mask) => grad_out.hadamard(&mask).expect("same shape"), // lint:allow(no-panic): mask cached from the forward pass
-            None => grad_out.clone(),
-        }
+        Ok(Self { rate })
     }
 }
 
@@ -204,82 +121,26 @@ impl Dropout {
 mod tests {
     use super::*;
 
-    fn finite_diff_check(activation: Activation) {
-        // Numerical gradient check of a single dense layer under L = sum(y).
-        let mut rng = Rng::new(500);
-        let mut layer = Dense::new(4, 3, activation, &mut rng);
-        let x = Matrix::from_vec(2, 4, (0..8).map(|i| 0.1 * i as f64 - 0.35).collect()).unwrap();
-        let ones = Matrix::filled(2, 3, 1.0);
-        let _ = layer.forward(x.clone()).unwrap();
-        let _ = layer.backward(&ones).unwrap();
-        let analytic = layer.grad_w.clone();
-        let eps = 1e-6;
-        for r in 0..4 {
-            for c in 0..3 {
-                let orig = layer.w.get(r, c);
-                layer.w.set(r, c, orig + eps);
-                let up = layer.infer(&x).unwrap().sum();
-                layer.w.set(r, c, orig - eps);
-                let down = layer.infer(&x).unwrap().sum();
-                layer.w.set(r, c, orig);
-                let numeric = (up - down) / (2.0 * eps);
-                assert!(
-                    (numeric - analytic.get(r, c)).abs() < 1e-5,
-                    "{activation:?} grad_w[{r},{c}]: numeric {numeric} vs analytic {}",
-                    analytic.get(r, c)
-                );
+    #[test]
+    fn infer_is_act_of_affine_map() {
+        let mut rng = Rng::new(504);
+        let mut layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
+        layer.b = vec![0.25, -0.5];
+        let x = Matrix::from_rows(&[&[0.2, -1.0, 0.6], &[1.5, 0.0, -0.3]]);
+        let y = layer.infer(&x).unwrap();
+        for r in 0..2 {
+            for c in 0..2 {
+                let z = le_linalg::matrix::dot(x.row(r), &[layer.w.get(0, c), layer.w.get(1, c), layer.w.get(2, c)]);
+                assert_eq!(y.get(r, c).to_bits(), crate::math::tanh(z + layer.b[c]).to_bits());
             }
         }
     }
 
     #[test]
-    fn dense_gradient_matches_finite_difference_tanh() {
-        finite_diff_check(Activation::Tanh);
-    }
-
-    #[test]
-    fn dense_gradient_matches_finite_difference_identity() {
-        finite_diff_check(Activation::Identity);
-    }
-
-    #[test]
-    fn dense_bias_gradient_is_column_sum() {
-        let mut rng = Rng::new(501);
-        let mut layer = Dense::new(2, 2, Activation::Identity, &mut rng);
-        let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let g = Matrix::from_rows(&[&[1.0, 0.5], &[2.0, -1.0]]);
-        let _ = layer.forward(x.clone()).unwrap();
-        let _ = layer.backward(&g).unwrap();
-        assert!((layer.grad_b[0] - 3.0).abs() < 1e-12);
-        assert!((layer.grad_b[1] - (-0.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forward_shape_validation() {
+    fn infer_shape_validation() {
         let mut rng = Rng::new(502);
-        let mut layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
-        let bad = Matrix::zeros(1, 4);
-        assert!(layer.forward(bad.clone()).is_err());
-        assert!(layer.infer(&bad).is_err());
-    }
-
-    #[test]
-    fn backward_without_forward_errors() {
-        let mut rng = Rng::new(503);
-        let mut layer = Dense::new(2, 2, Activation::Tanh, &mut rng);
-        assert!(layer.backward(&Matrix::zeros(1, 2)).is_err());
-    }
-
-    #[test]
-    fn infer_matches_forward() {
-        let mut rng = Rng::new(504);
-        let mut layer = Dense::new(3, 5, Activation::Tanh, &mut rng);
-        let x = Matrix::from_vec(4, 3, (0..12).map(|i| i as f64 * 0.2 - 1.0).collect()).unwrap();
-        let f = layer.forward(x.clone()).unwrap();
-        let i = layer.infer(&x).unwrap();
-        for (a, b) in f.as_slice().iter().zip(i.as_slice()) {
-            assert!((a - b).abs() < 1e-15);
-        }
+        let layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
+        assert!(layer.infer(&Matrix::zeros(1, 4)).is_err());
     }
 
     #[test]
@@ -288,44 +149,6 @@ mod tests {
         assert!(Dropout::new(1.0).is_err());
         assert!(Dropout::new(0.0).is_ok());
         assert!(Dropout::new(0.5).is_ok());
-    }
-
-    #[test]
-    fn dropout_preserves_expectation() {
-        let mut rng = Rng::new(505);
-        let mut d = Dropout::new(0.3).unwrap();
-        let x = Matrix::filled(200, 50, 1.0);
-        let mut total = 0.0;
-        let reps = 20;
-        for _ in 0..reps {
-            total += d.forward(x.clone(), &mut rng).sum();
-        }
-        let mean = total / (reps * 200 * 50) as f64;
-        assert!((mean - 1.0).abs() < 0.02, "inverted dropout mean {mean}");
-    }
-
-    #[test]
-    fn dropout_zero_rate_is_identity() {
-        let mut rng = Rng::new(506);
-        let mut d = Dropout::new(0.0).unwrap();
-        let x = Matrix::from_rows(&[&[1.0, -2.0, 3.0]]);
-        assert_eq!(d.forward(x.clone(), &mut rng), x);
-    }
-
-    #[test]
-    fn dropout_backward_uses_same_mask() {
-        let mut rng = Rng::new(507);
-        let mut d = Dropout::new(0.5).unwrap();
-        let x = Matrix::filled(1, 100, 1.0);
-        let y = d.forward(x, &mut rng);
-        let g = d.backward(&Matrix::filled(1, 100, 1.0));
-        // Where the output was zeroed, the gradient must be zeroed too.
-        for (yv, gv) in y.as_slice().iter().zip(g.as_slice()) {
-            assert_eq!(*yv == 0.0, *gv == 0.0);
-            if *yv != 0.0 {
-                assert!((gv - 2.0).abs() < 1e-12, "kept grad should be scaled by 1/keep");
-            }
-        }
     }
 
     #[test]

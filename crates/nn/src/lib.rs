@@ -16,6 +16,8 @@
 //! * inverted dropout usable at inference time for MC-dropout UQ (§III-B),
 //! * the MSE loss ([`loss`]),
 //! * the Adam optimizer ([`optimizer`]),
+//! * one fused, allocation-free training step on a preallocated arena
+//!   ([`arena`]),
 //! * a mini-batch trainer with shuffling, validation split, early
 //!   stopping and a global-norm gradient clip ([`train`]),
 //! * feature/target standardization ([`scaler`]),
@@ -26,6 +28,7 @@
 //! Determinism: every stochastic element (init, shuffling, dropout masks)
 //! is driven by an explicit [`le_linalg::Rng`].
 
+pub mod arena;
 pub mod batch;
 pub mod layer;
 pub mod loss;
@@ -36,6 +39,7 @@ pub mod regressor;
 pub mod scaler;
 pub mod train;
 
+pub use arena::TrainArena;
 pub use batch::BatchScratch;
 pub use model::{Mlp, MlpConfig};
 pub use regressor::Regressor;

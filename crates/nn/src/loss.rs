@@ -1,50 +1,51 @@
-//! The regression loss: mean squared error, `mean((p - t)^2)`. [`mse`]
-//! returns both the scalar value (mean over the batch) and the gradient
-//! w.r.t. the predictions, so the trainer makes one call per step;
-//! [`mse_value`] skips the gradient, for validation loops.
-
-use le_linalg::Matrix;
+//! The regression loss: mean squared error, `mean((p - t)^2)`, over flat
+//! row-major slices. [`mse_into`] returns the scalar value (mean over all
+//! elements) and writes the gradient w.r.t. the predictions, so a training
+//! step makes one call; [`mse_value`] skips the gradient, for validation
+//! passes.
 
 use crate::{NnError, Result};
 
-/// The element count of a non-empty `pred`/`target` pair of equal shape.
-fn element_count(pred: &Matrix, target: &Matrix) -> Result<f64> {
-    if pred.shape() != target.shape() {
+/// The element count of a non-empty `pred`/`target` pair of equal length.
+fn element_count(pred: &[f64], target: &[f64]) -> Result<f64> {
+    if pred.len() != target.len() {
         return Err(NnError::Shape(format!(
-            "loss: pred {:?} vs target {:?}",
-            pred.shape(),
-            target.shape()
+            "loss: pred has {} elements, target {}",
+            pred.len(),
+            target.len()
         )));
     }
-    if pred.rows() * pred.cols() == 0 {
+    if pred.is_empty() {
         return Err(NnError::Shape("loss on empty batch".into()));
     }
-    Ok((pred.rows() * pred.cols()) as f64)
+    Ok(pred.len() as f64)
 }
 
-/// Scalar MSE (mean over all elements) and its gradient w.r.t. `pred`.
-pub fn mse(pred: &Matrix, target: &Matrix) -> Result<(f64, Matrix)> {
+/// Scalar MSE (mean over all elements); its gradient w.r.t. `pred` goes
+/// to `grad`, which must have `pred`'s length.
+pub fn mse_into(pred: &[f64], target: &[f64], grad: &mut [f64]) -> Result<f64> {
     let n = element_count(pred, target)?;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    if grad.len() != pred.len() {
+        return Err(NnError::Shape(format!(
+            "loss: gradient has {} elements, pred {}",
+            grad.len(),
+            pred.len()
+        )));
+    }
     let mut total = 0.0;
-    let gs = grad.as_mut_slice();
-    for ((g, &p), &t) in gs
-        .iter_mut()
-        .zip(pred.as_slice().iter())
-        .zip(target.as_slice().iter())
-    {
+    for ((g, &p), &t) in grad.iter_mut().zip(pred).zip(target) {
         let e = p - t;
         total += e * e;
         *g = 2.0 * e / n;
     }
-    Ok((total / n, grad))
+    Ok(total / n)
 }
 
-/// Scalar MSE only (no gradient allocation).
-pub fn mse_value(pred: &Matrix, target: &Matrix) -> Result<f64> {
+/// Scalar MSE only.
+pub fn mse_value(pred: &[f64], target: &[f64]) -> Result<f64> {
     let n = element_count(pred, target)?;
     let mut total = 0.0;
-    for (&p, &t) in pred.as_slice().iter().zip(target.as_slice().iter()) {
+    for (&p, &t) in pred.iter().zip(target) {
         let e = p - t;
         total += e * e;
     }
@@ -55,55 +56,56 @@ pub fn mse_value(pred: &Matrix, target: &Matrix) -> Result<f64> {
 mod tests {
     use super::*;
 
+    fn mse(pred: &[f64], target: &[f64]) -> (f64, Vec<f64>) {
+        let mut g = vec![0.0; pred.len()];
+        (mse_into(pred, target, &mut g).unwrap(), g)
+    }
+
     #[test]
     fn mse_known_value_and_gradient() {
-        let pred = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let target = Matrix::from_rows(&[&[0.0, 4.0]]);
-        let (l, g) = mse(&pred, &target).unwrap();
+        let (l, g) = mse(&[1.0, 2.0], &[0.0, 4.0]);
         assert!((l - (1.0 + 4.0) / 2.0).abs() < 1e-12);
-        assert!((g.get(0, 0) - 1.0).abs() < 1e-12); // 2*(1-0)/2
-        assert!((g.get(0, 1) + 2.0).abs() < 1e-12); // 2*(2-4)/2
+        assert!((g[0] - 1.0).abs() < 1e-12); // 2*(1-0)/2
+        assert!((g[1] + 2.0).abs() < 1e-12); // 2*(2-4)/2
     }
 
     #[test]
     fn mse_zero_at_perfect_prediction() {
-        let p = Matrix::from_rows(&[&[3.0, -1.0], &[0.5, 2.0]]);
-        let (l, g) = mse(&p, &p).unwrap();
+        let p = [3.0, -1.0, 0.5, 2.0];
+        let (l, g) = mse(&p, &p);
         assert_eq!(l, 0.0);
-        assert!(g.max_abs() < 1e-15);
+        assert!(g.iter().all(|v| v.abs() < 1e-15));
     }
 
     #[test]
     fn mse_value_matches_mse() {
-        let pred = Matrix::from_rows(&[&[1.0, -2.0], &[0.3, 4.0]]);
-        let target = Matrix::from_rows(&[&[0.9, -1.0], &[0.0, 5.0]]);
-        let (l, _) = mse(&pred, &target).unwrap();
+        let pred = [1.0, -2.0, 0.3, 4.0];
+        let target = [0.9, -1.0, 0.0, 5.0];
+        let (l, _) = mse(&pred, &target);
         assert!((l - mse_value(&pred, &target).unwrap()).abs() < 1e-15);
     }
 
     #[test]
     fn shape_mismatch_errors() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(2, 3);
-        assert!(mse(&a, &b).is_err());
-        assert!(mse_value(&a, &b).is_err());
+        assert!(mse_into(&[0.0; 4], &[0.0; 6], &mut [0.0; 4]).is_err());
+        assert!(mse_into(&[0.0; 4], &[0.0; 4], &mut [0.0; 3]).is_err());
+        assert!(mse_value(&[0.0; 4], &[0.0; 6]).is_err());
+        assert!(mse_value(&[], &[]).is_err());
     }
 
     #[test]
     fn mse_gradient_matches_finite_difference() {
-        let target = Matrix::from_rows(&[&[0.3, -1.2, 2.0]]);
-        let pred = Matrix::from_rows(&[&[0.5, 0.5, 0.5]]);
-        let (_, g) = mse(&pred, &target).unwrap();
+        let target = [0.3, -1.2, 2.0];
+        let pred = [0.5, 0.5, 0.5];
+        let (_, g) = mse(&pred, &target);
         let eps = 1e-7;
         for c in 0..3 {
-            let mut up = pred.clone();
-            up.set(0, c, pred.get(0, c) + eps);
-            let mut down = pred.clone();
-            down.set(0, c, pred.get(0, c) - eps);
-            let numeric = (mse_value(&up, &target).unwrap()
-                - mse_value(&down, &target).unwrap())
-                / (2.0 * eps);
-            assert!((numeric - g.get(0, c)).abs() < 1e-6);
+            let mut up = pred;
+            up[c] += eps;
+            let mut down = pred;
+            down[c] -= eps;
+            let numeric = (mse_value(&up, &target).unwrap() - mse_value(&down, &target).unwrap()) / (2.0 * eps);
+            assert!((numeric - g[c]).abs() < 1e-6);
         }
     }
 }

@@ -4,7 +4,8 @@
 //! identity on the output — with optional inverted dropout after each
 //! hidden layer. The MC-dropout UQ of §III-B keeps that dropout active at
 //! inference; it runs on the fused engine in [`crate::batch`], which packs
-//! a snapshot of this model's weights.
+//! a snapshot of this model's weights. Training steps run on the arena of
+//! [`crate::arena`].
 
 use le_linalg::{Matrix, Rng};
 
@@ -113,35 +114,6 @@ impl Mlp {
         self.dense.len() * 2
     }
 
-    /// Training forward pass: dropout active, state cached for `backward`.
-    /// Each activation is handed on by value, so the layer caches keep it
-    /// without a copy.
-    pub fn forward_train(&mut self, x: Matrix, rng: &mut Rng) -> Result<Matrix> {
-        let mut h = x;
-        let n = self.dense.len();
-        for i in 0..n {
-            h = self.dense[i].forward(h)?;
-            if i + 1 < n {
-                h = self.dropout[i].forward(h, rng);
-            }
-        }
-        Ok(h)
-    }
-
-    /// Backward pass through the whole stack; fills each layer's gradients
-    /// and returns the gradient w.r.t. the input batch.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Result<Matrix> {
-        let mut g = grad_out.clone();
-        let n = self.dense.len();
-        for i in (0..n).rev() {
-            if i + 1 < n {
-                g = self.dropout[i].backward(&g);
-            }
-            g = self.dense[i].backward(&g)?;
-        }
-        Ok(g)
-    }
-
     /// Deterministic inference (dropout off — identity under inverted
     /// dropout).
     pub fn predict(&self, x: &Matrix) -> Result<Matrix> {
@@ -159,36 +131,12 @@ impl Mlp {
         Ok(self.predict(&xm)?.as_slice().to_vec())
     }
 
-    /// Visit every parameter block (weights then bias, per layer, in order)
-    /// together with its gradient. Block indices are stable across calls,
-    /// matching `OptimizerState` registration.
-    pub fn for_each_param_block(
-        &mut self,
-        mut f: impl FnMut(usize, &mut [f64], &[f64]),
-    ) {
-        for (i, layer) in self.dense.iter_mut().enumerate() {
-            f(2 * i, layer.w.as_mut_slice(), layer.grad_w.as_slice());
-            f(2 * i + 1, &mut layer.b, &layer.grad_b);
-        }
-    }
-
-    /// Scale the most recent gradient down to global L2 norm `max_norm`
-    /// if it is longer.
-    pub(crate) fn clip_grad_norm(&mut self, max_norm: f64) {
-        let mut ss = 0.0;
-        for layer in &self.dense {
-            ss += layer.grad_w.as_slice().iter().map(|g| g * g).sum::<f64>();
-            ss += layer.grad_b.iter().map(|g| g * g).sum::<f64>();
-        }
-        let norm = ss.sqrt();
-        if norm > max_norm {
-            let scale = max_norm / norm;
-            for layer in &mut self.dense {
-                layer.grad_w.scale_mut(scale);
-                for g in &mut layer.grad_b {
-                    *g *= scale;
-                }
-            }
+    /// Overwrite this network's weights and biases with `other`'s, which
+    /// must have the same widths (the trainer's early-stopping snapshot).
+    pub(crate) fn copy_params_from(&mut self, other: &Mlp) {
+        for (d, o) in self.dense.iter_mut().zip(&other.dense) {
+            d.w.as_mut_slice().copy_from_slice(o.w.as_slice());
+            d.b.copy_from_slice(&o.b);
         }
     }
 
@@ -254,19 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_train_without_dropout_matches_predict() {
-        let mut rng = Rng::new(5);
-        let mut net = Mlp::new(MlpConfig::regression(&[3, 5, 5, 2]), &mut rng).unwrap();
-        let x = Matrix::from_vec(4, 3, (0..12).map(|i| i as f64 * 0.1).collect()).unwrap();
-        let mut drop_rng = Rng::new(99);
-        let train_out = net.forward_train(x.clone(), &mut drop_rng).unwrap();
-        let infer_out = net.predict(&x).unwrap();
-        for (a, b) in train_out.as_slice().iter().zip(infer_out.as_slice()) {
-            assert!((a - b).abs() < 1e-15);
-        }
-    }
-
-    #[test]
     fn mc_dropout_varies_deterministic_does_not() {
         let mut rng = Rng::new(6);
         let net = Mlp::new(
@@ -278,68 +213,26 @@ mod tests {
         let d1 = net.predict(&x).unwrap().get(0, 0);
         let d2 = net.predict(&x).unwrap().get(0, 0);
         assert_eq!(d1, d2, "deterministic inference must be stable");
-        // One MC-dropout pass at two consult ordinals: different masks.
+        // MC-dropout at two consult ordinals: different masks.
         let mut scratch = crate::batch::BatchScratch::new(&net);
-        let (mut m1, mut m2) = ([0.0], [0.0]);
+        let (mut m1, mut m2, mut std) = ([0.0], [0.0], [0.0]);
         scratch
-            .mc_forward_into(x.as_slice(), 1, 1, 7, 0, &mut m1)
+            .mc_predict_into(x.as_slice(), 1, 2, 7, 0, &mut m1, &mut std)
             .unwrap();
         scratch
-            .mc_forward_into(x.as_slice(), 1, 1, 7, 1, &mut m2)
+            .mc_predict_into(x.as_slice(), 1, 2, 7, 1, &mut m2, &mut std)
             .unwrap();
         assert_ne!(m1, m2, "MC-dropout samples should differ");
     }
 
     #[test]
-    fn full_network_gradient_matches_finite_difference() {
-        let mut rng = Rng::new(8);
-        let mut net = Mlp::new(MlpConfig::regression(&[2, 4, 1]), &mut rng).unwrap();
-        let x = Matrix::from_rows(&[&[0.3, -0.7], &[1.0, 0.2]]);
-        // Loss = sum of outputs -> dL/dy = 1.
-        let mut no_drop = Rng::new(0);
-        let _ = net.forward_train(x.clone(), &mut no_drop).unwrap();
-        let ones = Matrix::filled(2, 1, 1.0);
-        let _ = net.backward(&ones).unwrap();
-        // Check the first layer's weight gradients numerically.
-        let analytic = net.dense[0].grad_w.clone();
-        let eps = 1e-6;
-        for r in 0..2 {
-            for c in 0..4 {
-                let orig = net.dense[0].w.get(r, c);
-                net.dense[0].w.set(r, c, orig + eps);
-                let up = net.predict(&x).unwrap().sum();
-                net.dense[0].w.set(r, c, orig - eps);
-                let down = net.predict(&x).unwrap().sum();
-                net.dense[0].w.set(r, c, orig);
-                let numeric = (up - down) / (2.0 * eps);
-                assert!(
-                    (numeric - analytic.get(r, c)).abs() < 1e-5,
-                    "grad[{r},{c}] numeric {numeric} analytic {}",
-                    analytic.get(r, c)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn input_gradient_matches_finite_difference() {
-        let mut rng = Rng::new(9);
-        let mut net = Mlp::new(MlpConfig::regression(&[3, 5, 2]), &mut rng).unwrap();
+    fn copy_params_from_copies_every_weight_and_bias() {
+        let mut a = Mlp::new(MlpConfig::regression(&[3, 5, 2]), &mut Rng::new(7)).unwrap();
+        let mut b = Mlp::new(MlpConfig::regression(&[3, 5, 2]), &mut Rng::new(8)).unwrap();
+        b.dense[1].b[1] = 0.75;
+        a.copy_params_from(&b);
         let x = Matrix::from_rows(&[&[0.1, 0.2, -0.3]]);
-        let mut no_drop = Rng::new(0);
-        let _ = net.forward_train(x.clone(), &mut no_drop).unwrap();
-        let ones = Matrix::filled(1, 2, 1.0);
-        let gx = net.backward(&ones).unwrap();
-        let eps = 1e-6;
-        for c in 0..3 {
-            let mut up = x.clone();
-            up.set(0, c, x.get(0, c) + eps);
-            let mut down = x.clone();
-            down.set(0, c, x.get(0, c) - eps);
-            let numeric =
-                (net.predict(&up).unwrap().sum() - net.predict(&down).unwrap().sum()) / (2.0 * eps);
-            assert!((numeric - gx.get(0, c)).abs() < 1e-5);
-        }
+        assert_eq!(a.predict(&x).unwrap(), b.predict(&x).unwrap());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Mini-batch training loop with shuffling, validation split, early
-//! stopping, and gradient clipping: Adam on the MSE loss.
+//! stopping, and gradient clipping: Adam on the MSE loss. Every step and
+//! every validation pass runs on one [`TrainArena`], so only the set-up
+//! of a fit allocates.
 
 use le_linalg::{Matrix, Rng};
 
+use crate::arena::TrainArena;
 use crate::loss;
 use crate::model::Mlp;
 use crate::optimizer::OptimizerState;
@@ -133,22 +136,26 @@ impl Trainer {
         let mut since_best = 0usize;
         let n_train = x_train.rows();
         let mut order: Vec<usize> = (0..n_train).collect();
+        let (d_in, d_out) = (x.cols(), y.cols());
+        let mut arena = TrainArena::new(model);
+        let mut yb = vec![0.0; cfg.batch_size.min(n_train) * d_out];
 
         for epoch in 0..cfg.epochs {
             rng.shuffle(&mut order);
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
             for chunk in order.chunks(cfg.batch_size) {
-                let xb = x_train.gather_rows(chunk);
-                let yb = y_train.gather_rows(chunk);
-                let pred = model.forward_train(xb, &mut rng)?;
-                let (batch_loss, grad) = loss::mse(&pred, &yb)?;
-                model.backward(&grad)?;
-                model.clip_grad_norm(GRAD_CLIP);
+                let xb = arena.input_mut(chunk.len());
+                for ((xr, yr), &i) in xb.chunks_exact_mut(d_in).zip(yb.chunks_exact_mut(d_out)).zip(chunk) {
+                    xr.copy_from_slice(x_train.row(i));
+                    yr.copy_from_slice(y_train.row(i));
+                }
+                arena.forward(model, Some(&mut rng))?;
+                let batch_loss = arena.mse_grad(&yb[..chunk.len() * d_out])?;
+                arena.backward(model)?;
+                arena.clip_grad_norm(GRAD_CLIP);
                 opt.begin_step();
-                model.for_each_param_block(|block, params, grads| {
-                    opt.update_slice(block, params, grads);
-                });
+                arena.update(model, &mut opt, 0);
                 epoch_loss += batch_loss;
                 batches += 1;
             }
@@ -158,8 +165,8 @@ impl Trainer {
 
             // Validation / early stopping.
             let monitored = if let (Some(xv), Some(yv)) = (&x_val, &y_val) {
-                let pred = model.predict(xv)?;
-                let vl = loss::mse_value(&pred, yv)?;
+                arena.input_mut(xv.rows()).copy_from_slice(xv.as_slice());
+                let vl = loss::mse_value(arena.forward(model, None)?, yv.as_slice())?;
                 report.val_loss.push(vl);
                 vl
             } else {
@@ -170,7 +177,10 @@ impl Trainer {
                 report.best_epoch = epoch;
                 since_best = 0;
                 if cfg.patience.is_some() {
-                    best_snapshot = Some(model.clone());
+                    match &mut best_snapshot {
+                        Some(best) => best.copy_params_from(model),
+                        None => best_snapshot = Some(model.clone()),
+                    }
                 }
             } else {
                 since_best += 1;
@@ -391,6 +401,193 @@ mod tests {
         let (w, b) = (model.layers()[0].w.get(0, 0), model.layers()[0].b[0]);
         assert_eq!(w.to_bits(), w1.to_bits(), "w: {w} vs {w1}");
         assert_eq!(b.to_bits(), b1.to_bits(), "b: {b} vs {b1}");
+    }
+
+    /// Per-epoch losses and final parameters of a fit, plus the number
+    /// of steps whose gradient reached the clip.
+    struct Run {
+        train_loss: Vec<f64>,
+        val_loss: Vec<f64>,
+        epochs_run: usize,
+        params: Vec<f64>,
+        clipped: usize,
+    }
+
+    fn params(model: &Mlp) -> Vec<f64> {
+        let mut p = Vec::new();
+        for d in model.layers() {
+            p.extend_from_slice(d.w.as_slice());
+            p.extend_from_slice(&d.b);
+        }
+        p
+    }
+
+    /// The layer-at-a-time training body the fused step replaced, spelled
+    /// out on `Matrix` operations: forward with an `f64` dropout mask per
+    /// hidden layer (drawn with `Rng::bernoulli`, row-major), the MSE
+    /// gradient, backward through `hadamard`, `t_matmul`, `col_sums` and
+    /// `matmul_t` (the first layer's input gradient included), the global
+    /// norm clip and one Adam step; then the validation pass and the
+    /// early-stopping snapshot of `Trainer::fit`.
+    fn reference_fit(model: &mut Mlp, x: &Matrix, y: &Matrix, cfg: &TrainConfig) -> Run {
+        let mut rng = Rng::new(cfg.seed);
+        let n = x.rows();
+        let n_val = ((n as f64) * cfg.validation_fraction).round() as usize;
+        let n_val = if n_val >= n { n - 1 } else { n_val };
+        let mut indices: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut indices);
+        let (val_idx, train_idx) = indices.split_at(n_val);
+        let (x_train, y_train) = (x.gather_rows(train_idx), y.gather_rows(train_idx));
+        let (x_val, y_val) = (x.gather_rows(val_idx), y.gather_rows(val_idx));
+        let mut opt = OptimizerState::new(cfg.lr, model.n_param_blocks());
+        let mut run = Run { train_loss: vec![], val_loss: vec![], epochs_run: 0, params: vec![], clipped: 0 };
+        let (mut best_loss, mut since_best, mut best) = (f64::INFINITY, 0, None);
+        let mut order: Vec<usize> = (0..x_train.rows()).collect();
+        let layers = model.layers().len();
+        for epoch in 0..cfg.epochs {
+            rng.shuffle(&mut order);
+            let (mut epoch_loss, mut batches) = (0.0, 0usize);
+            for chunk in order.chunks(cfg.batch_size) {
+                let (mut h, yb) = (x_train.gather_rows(chunk), y_train.gather_rows(chunk));
+                let (mut inputs, mut outputs, mut masks) = (vec![], vec![], vec![]);
+                for l in 0..layers {
+                    let d = &model.dense[l];
+                    let mut z = h.matmul(&d.w).unwrap();
+                    z.add_row_broadcast(&d.b).unwrap();
+                    z.map_mut(|v| d.activation.apply(v));
+                    inputs.push(h);
+                    outputs.push(z.clone());
+                    h = z;
+                    if l + 1 < layers {
+                        let rate = model.dropout[l].rate;
+                        masks.push((rate != 0.0).then(|| {
+                            let keep = 1.0 - rate;
+                            let mut mask = Matrix::zeros(h.rows(), h.cols());
+                            for (m, v) in mask.as_mut_slice().iter_mut().zip(h.as_mut_slice()) {
+                                *m = if rng.bernoulli(keep) { 1.0 / keep } else { 0.0 };
+                                *v *= *m;
+                            }
+                            mask
+                        }));
+                    }
+                }
+                let mut g = Matrix::zeros(h.rows(), h.cols());
+                let batch_loss = loss::mse_into(h.as_slice(), yb.as_slice(), g.as_mut_slice()).unwrap();
+                let mut grads = vec![(Matrix::zeros(0, 0), vec![]); layers];
+                for l in (0..layers).rev() {
+                    if let Some(Some(mask)) = masks.get(l) {
+                        g = g.hadamard(mask).unwrap();
+                    }
+                    let d = &model.dense[l];
+                    for (gv, &yv) in g.as_mut_slice().iter_mut().zip(outputs[l].as_slice()) {
+                        *gv *= d.activation.derivative(yv);
+                    }
+                    grads[l] = (inputs[l].t_matmul(&g).unwrap(), g.col_sums());
+                    g = g.matmul_t(&d.w).unwrap();
+                }
+                let mut ss = 0.0;
+                for (gw, gb) in &grads {
+                    ss += gw.as_slice().iter().map(|g| g * g).sum::<f64>();
+                    ss += gb.iter().map(|g| g * g).sum::<f64>();
+                }
+                let norm = ss.sqrt();
+                if norm > GRAD_CLIP {
+                    run.clipped += 1;
+                    let scale = GRAD_CLIP / norm;
+                    for (gw, gb) in &mut grads {
+                        gw.scale_mut(scale);
+                        for g in gb.iter_mut() {
+                            *g *= scale;
+                        }
+                    }
+                }
+                opt.begin_step();
+                for (l, (gw, gb)) in grads.iter().enumerate() {
+                    opt.update_slice(2 * l, model.dense[l].w.as_mut_slice(), gw.as_slice());
+                    opt.update_slice(2 * l + 1, &mut model.dense[l].b, gb);
+                }
+                epoch_loss += batch_loss;
+                batches += 1;
+            }
+            epoch_loss /= batches.max(1) as f64;
+            run.train_loss.push(epoch_loss);
+            run.epochs_run = epoch + 1;
+            let monitored = if n_val > 0 {
+                let vl = loss::mse_value(model.predict(&x_val).unwrap().as_slice(), y_val.as_slice()).unwrap();
+                run.val_loss.push(vl);
+                vl
+            } else {
+                epoch_loss
+            };
+            if monitored < best_loss {
+                best_loss = monitored;
+                since_best = 0;
+                if cfg.patience.is_some() {
+                    best = Some(model.clone());
+                }
+            } else {
+                since_best += 1;
+                if cfg.patience.is_some_and(|p| since_best >= p) {
+                    break;
+                }
+            }
+        }
+        if let Some(b) = best {
+            *model = b;
+        }
+        run.params = params(model);
+        run
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g:e} vs {w:e}");
+        }
+    }
+
+    #[test]
+    fn fused_step_matches_the_layer_at_a_time_reference_bitwise() {
+        // (widths, dropout, rows, batch, target scale, validation, patience)
+        // 1- and 3-output heads, ragged last batches, dropout 0 and 0.1,
+        // targets large enough that every step reaches the clip, and an
+        // early stop that restores the snapshot.
+        type Case = (&'static [usize], f64, usize, usize, f64, f64, Option<usize>);
+        let cases: [Case; 6] = [
+            (&[5, 64, 64, 3], 0.1, 90, 32, 1.0, 0.2, Some(25)),
+            (&[5, 64, 64, 3], 0.0, 45, 16, 1.0, 0.0, None),
+            (&[3, 16, 1], 0.1, 37, 8, 1.0, 0.15, Some(2)),
+            (&[3, 16, 1], 0.0, 29, 6, 1.0, 0.0, Some(3)),
+            (&[4, 24, 24, 1], 0.1, 23, 5, 400.0, 0.0, None),
+            (&[2, 9, 3], 0.0, 19, 4, 400.0, 0.25, Some(2)),
+        ];
+        for (case, &(widths, dropout, rows, batch, scale, val, patience)) in cases.iter().enumerate() {
+            let (d_in, d_out) = (widths[0], widths[widths.len() - 1]);
+            let mut rng = Rng::new(70 + case as u64);
+            let x = Matrix::from_vec(rows, d_in, (0..rows * d_in).map(|_| rng.uniform_in(-1.5, 1.5)).collect()).unwrap();
+            let y = Matrix::from_vec(rows, d_out, (0..rows * d_out).map(|i| scale * (0.7 * i as f64).sin()).collect()).unwrap();
+            let cfg = TrainConfig {
+                epochs: 6,
+                batch_size: batch,
+                lr: 1e-2,
+                validation_fraction: val,
+                patience,
+                seed: 90 + case as u64,
+            };
+            let model = Mlp::new(MlpConfig::regression_with_dropout(widths, dropout), &mut rng).unwrap();
+            let mut fused = model.clone();
+            let report = Trainer::new(cfg.clone()).fit(&mut fused, &x, &y).unwrap();
+            let mut reference = model;
+            let want = reference_fit(&mut reference, &x, &y, &cfg);
+            let what = format!("case {case} {widths:?} dropout {dropout}");
+            assert_eq!(report.epochs_run, want.epochs_run, "{what}: epochs");
+            assert_bits_eq(&report.train_loss, &want.train_loss, &format!("{what}: train loss"));
+            assert_bits_eq(&report.val_loss, &want.val_loss, &format!("{what}: validation loss"));
+            assert_bits_eq(&params(&fused), &want.params, &format!("{what}: parameters"));
+            if scale > 1.0 {
+                assert!(want.clipped > 0, "{what}: no step reached the clip");
+            }
+        }
     }
 
     #[test]
