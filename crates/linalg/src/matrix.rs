@@ -308,24 +308,15 @@ impl Matrix {
     }
 }
 
-/// Output width up to which a product runs the narrow rows-as-lanes tile.
+/// Output width up to which every product skips exact-zero `a` terms and
+/// runs a narrow tile.
 const NARROW_N: usize = 8;
-/// Output rows per narrow tile: the rows are the vector lanes, so one
-/// `b` element is broadcast against eight rows' activations at a time.
-const NARROW_RL: usize = 8;
-/// Row-tile height of the wide kernel: two output rows share each
-/// streamed pass over a `b` row.
-const WIDE_MR: usize = 2;
-/// Column-tile width of the wide kernel: sixteen f64 lanes (four AVX2
-/// vectors) accumulate per output row. The 2×16 tile holds eight
-/// accumulator vectors plus the four `b` vectors and a broadcast —
-/// thirteen of the sixteen AVX registers — giving enough independent FMA
-/// chains to hide the latency without spilling.
-const WIDE_NR: usize = 16;
-/// Depth of a staged panel: the `k` range a tile accumulates before its
-/// partial sums go back to the output. Whole-`k` for the workspace's
+/// Depth of a staged `b` panel: the `k` range a tile accumulates before
+/// its partial sums go back to the output. Whole-`k` for the workspace's
 /// layers (k ≤ 64), so those never reload a partial sum.
 const KC: usize = 64;
+/// Widest column block of a tile: four AVX2 vectors.
+const NB_MAX: usize = 16;
 
 /// A product operand on row-major storage: element `(r, c)` is
 /// `data[r * rs + c * cs]`, so a transposed read swaps the strides and no
@@ -400,18 +391,18 @@ pub fn matmul_t_into(a: &[f64], b: &[f64], mkn: (usize, usize, usize), out: &mut
 /// the same bits on every conforming host) from 0.0 — the contraction of
 /// [`dot`]. The paths differ only in how many chains advance together:
 ///
-/// * **Narrow** (`n ≤` [`NARROW_N`]): [`narrow_rows`], eight rows as
-///   vector lanes against each broadcast `b` element.
-/// * **Wide, below [`GEMM_TILE_MIN_FLOPS`]**: an ikj loop that accumulates
-///   whole output rows.
-/// * **Wide, from it on**: the [`WIDE_MR`]×[`WIDE_NR`] register tile.
+/// * **Narrow** (`n ≤` [`NARROW_N`]): [`tiles`] of eight rows × four
+///   columns (`n ≤ 4`) or four rows × eight columns.
+/// * **Wide, below [`GEMM_TILE_MIN_FLOPS`]**: [`ikj_rows`], which
+///   accumulates whole output rows.
+/// * **Wide, from it on**: [`tiles`] of two rows × sixteen columns.
 ///
-/// The narrow tile and the ikj loop leave out the terms of exact-zero `a`
-/// elements (dropout zeroes activations); the tile does so as a select.
-/// For a finite `b` that changes no bit, since `fma(±0, b, s)` leaves a
-/// chain started at 0.0 unchanged. Past [`GEMM_PAR_MIN_FLOPS`] whole rows
-/// go to pool tasks of about [`GEMM_CHUNK_FLOPS`] each; each element is
-/// still computed by one task, so the pool width cannot move a bit.
+/// The narrow tiles and the ikj loop leave out the terms of exact-zero `a`
+/// elements (dropout zeroes activations). For a finite `b` that changes no
+/// bit, since `fma(±0, b, s)` leaves a chain started at 0.0 unchanged.
+/// Past [`GEMM_PAR_MIN_FLOPS`] whole rows go to pool tasks of about
+/// [`GEMM_CHUNK_FLOPS`] each; each element is still computed by one task,
+/// so the pool width cannot move a bit.
 fn product(a: Strided, b: Strided, (m, k, n): (usize, usize, usize), out: &mut [f64]) {
     if m == 0 || n == 0 {
         return;
@@ -421,12 +412,11 @@ fn product(a: Strided, b: Strided, (m, k, n): (usize, usize, usize), out: &mut [
         return;
     }
     let flops = m * n * k;
-    let kernel = |row0: usize, rows: &mut [f64]| {
-        if n <= NARROW_N {
-            narrow_rows(a, b, k, n, row0, rows);
-        } else {
-            wide_rows(a, b, k, n, flops >= GEMM_TILE_MIN_FLOPS, row0, rows);
-        }
+    let kernel = |row0: usize, rows: &mut [f64]| match n {
+        ..=4 => tiles::<8, 4, true>(a, b, (k, n), row0, rows),
+        ..=NARROW_N => tiles::<4, 8, true>(a, b, (k, n), row0, rows),
+        _ if flops < GEMM_TILE_MIN_FLOPS => ikj_rows(a, b, (k, n), row0, rows),
+        _ => tiles::<2, NB_MAX, false>(a, b, (k, n), row0, rows),
     };
     if flops < GEMM_PAR_MIN_FLOPS {
         kernel(0, out);
@@ -452,161 +442,167 @@ fn product(a: Strided, b: Strided, (m, k, n): (usize, usize, usize), out: &mut [
     });
 }
 
-/// Narrow-output worker of [`product`]: fill `out` (whole rows of the
-/// `(m, n)` result from absolute row `row0` on, `n ≤` [`NARROW_N`]) in
-/// groups of at most four columns. Per [`KC`]-deep slice of `k`, `b` is
-/// staged once as a zero-padded `(KC,` [`NARROW_N`]`)` panel and each
-/// [`NARROW_RL`]-row tile's `a` as a `(KC, NARROW_RL)` lane panel (pad
-/// rows zero).
-fn narrow_rows(a: Strided, b: Strided, k: usize, n: usize, row0: usize, out: &mut [f64]) {
-    let rows = out.len() / n;
-    let mut bpanel = [[0.0f64; NARROW_N]; KC];
-    let mut apanel = [[0.0f64; NARROW_RL]; KC];
-    for t0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - t0);
-        for (t, bt) in bpanel.iter_mut().enumerate().take(kc) {
-            for (c, v) in bt.iter_mut().enumerate().take(n) {
-                *v = b.at(t0 + t, c);
+/// Stage `b`'s rows `t0..` and columns `j0..j0 + w` into `panel`, one
+/// row of stride `bs` per `t`, zero-padded past `w`. A natural `b` copies
+/// row segments; a transposed one is stored as rows of `b`'s columns, so
+/// each of those is read contiguously and scattered down the panel.
+fn stage(b: Strided, t0: usize, (j0, w): (usize, usize), bs: usize, panel: &mut [f64]) {
+    let kc = panel.len() / bs;
+    if b.cs == 1 {
+        for (t, prow) in panel.chunks_exact_mut(bs).enumerate() {
+            prow[..w].copy_from_slice(&b.data[(t0 + t) * b.rs + j0..][..w]);
+            prow[w..].fill(0.0);
+        }
+    } else {
+        if w < bs {
+            panel.fill(0.0);
+        }
+        // Four columns at a time as a 4×4 transpose, which vectorizes;
+        // the columns after the last whole four one at a time.
+        let (w4, kc4) = (w / 4 * 4, kc / 4 * 4);
+        for c in (0..w4).step_by(4) {
+            let cols: [&[f64]; 4] = std::array::from_fn(|i| &b.data[(j0 + c + i) * b.cs + t0..][..kc]);
+            for t in (0..kc4).step_by(4) {
+                let q: [[f64; 4]; 4] = std::array::from_fn(|i| std::array::from_fn(|u| cols[i][t + u]));
+                for u in 0..4 {
+                    panel[(t + u) * bs + c..][..4].copy_from_slice(&[q[0][u], q[1][u], q[2][u], q[3][u]]);
+                }
+            }
+            for t in kc4..kc {
+                for (i, col) in cols.iter().enumerate() {
+                    panel[t * bs + c + i] = col[t];
+                }
             }
         }
-        for r0 in (0..rows).step_by(NARROW_RL) {
-            let lanes = NARROW_RL.min(rows - r0);
-            // Rows (a natural `a`) or columns (a transposed one) of `a` are
-            // contiguous; pad lanes of a ragged last tile are zero.
-            let a0 = (row0 + r0) * a.rs + t0 * a.cs;
-            if a.cs == 1 {
-                for r in 0..lanes {
-                    for (at, &v) in apanel.iter_mut().zip(&a.data[a0 + r * a.rs..a0 + r * a.rs + kc]) {
-                        at[r] = v;
-                    }
-                }
-            } else {
-                for (t, at) in apanel.iter_mut().enumerate().take(kc) {
-                    let col = &a.data[a0 + t * a.cs..];
-                    for (r, v) in at.iter_mut().enumerate().take(lanes) {
-                        *v = col[r * a.rs];
-                    }
-                }
-            }
-            if lanes < NARROW_RL {
-                for at in &mut apanel[..kc] {
-                    at[lanes..].fill(0.0);
-                }
-            }
-            let tile = &mut out[r0 * n..(r0 + lanes) * n];
-            let panels = (&apanel[..kc], &bpanel[..kc]);
-            let mut c0 = 0;
-            while c0 < n {
-                let cols = (n - c0).min(4);
-                macro_rules! group {
-                    ($nc:literal) => {
-                        match (t0 > 0, lanes == NARROW_RL) {
-                            (false, true) => narrow_tile::<$nc, false, true>(panels, c0, n, tile),
-                            (false, false) => narrow_tile::<$nc, false, false>(panels, c0, n, tile),
-                            (true, true) => narrow_tile::<$nc, true, true>(panels, c0, n, tile),
-                            (true, false) => narrow_tile::<$nc, true, false>(panels, c0, n, tile),
-                        }
-                    };
-                }
-                match cols {
-                    1 => group!(1),
-                    2 => group!(2),
-                    3 => group!(3),
-                    _ => group!(4),
-                }
-                c0 += cols;
+        for c in w4..w {
+            let col = &b.data[(j0 + c) * b.cs + t0..][..kc];
+            for (prow, &v) in panel.chunks_exact_mut(bs).zip(col) {
+                prow[c] = v;
             }
         }
     }
 }
 
-/// Columns `c0..c0 + NC` of one narrow tile: the tile's rows `out` (row
-/// stride `n`), from the staged lane panel `ap` and `b` panel `bp`. The
-/// `NC ×` [`NARROW_RL`] accumulators stay in registers when `FULL` (the
-/// tile has all its rows), since then every copy in or out of them has a
-/// fixed trip count; with `LOAD` they start from the partial sums an
-/// earlier slice of `k` left in `out`. A zero `a` lane keeps its sum (the
-/// sparsity skip, as a select); pad rows are never stored.
-#[inline(never)]
-fn narrow_tile<const NC: usize, const LOAD: bool, const FULL: bool>(
-    (ap, bp): (&[[f64; NARROW_RL]], &[[f64; NARROW_N]]),
-    c0: usize,
-    n: usize,
+/// Register-tiled worker of [`product`]: fill `out` (whole rows of the
+/// `(m, n)` result from absolute row `row0` on) in blocks of `NB` columns
+/// and tiles of `R` rows (rows past the last whole tile in tiles of 4, 2
+/// and 1 rows). Each column block of a natural `b` is read in
+/// place over all of `k` when it is whole; otherwise each [`KC`]-deep
+/// slice of it is staged, and the partial sums of a longer `k` wait in
+/// `out`, which stores them exactly. `SKIP` leaves out exact-zero `a`
+/// terms.
+fn tiles<const R: usize, const NB: usize, const SKIP: bool>(
+    a: Strided,
+    b: Strided,
+    (k, n): (usize, usize),
+    row0: usize,
     out: &mut [f64],
 ) {
-    let lanes = if FULL { NARROW_RL } else { out.len() / n };
-    let mut acc = [[0.0f64; NARROW_RL]; NC];
-    if LOAD {
-        for r in 0..lanes {
-            for c in 0..NC {
-                acc[c][r] = out[r * n + c0 + c];
-            }
-        }
-    }
-    for (at, bt) in ap.iter().zip(bp) {
-        for (c, accc) in acc.iter_mut().enumerate() {
-            let bv = bt[c0 + c];
-            for (s, &av) in accc.iter_mut().zip(at) {
-                let skip = av == 0.0; // lint:allow(float-hygiene): exact-zero sparsity skip, any other value must multiply
-                *s = if skip { *s } else { av.mul_add(bv, *s) };
-            }
-        }
-    }
-    for r in 0..lanes {
-        for c in 0..NC {
-            out[r * n + c0 + c] = acc[c][r];
-        }
-    }
-}
-
-/// Wide-output worker of [`product`]: fill `out` (whole rows of the
-/// `(m, n)` result from absolute row `row0` on, `n >` [`NARROW_N`]) with
-/// the register tile (`tiled`) or the ikj loop, per column block:
-/// [`WIDE_NR`] columns for the tile, whole rows for the ikj loop on a
-/// natural `b`, and as many columns as the staging panel holds for the
-/// ikj loop on a transposed `b`. A natural `b` is read in place over all
-/// of `k` when the block is whole (or the loop is ikj); otherwise each
-/// [`KC`]-deep slice of `k` is staged into the panel, and the partial
-/// sums of a longer `k` wait in `out`, which stores them exactly.
-fn wide_rows(a: Strided, b: Strided, k: usize, n: usize, tiled: bool, row0: usize, out: &mut [f64]) {
     let rows = out.len() / n;
-    let mut panel = [0.0f64; KC * WIDE_NR];
-    let block = match (tiled, b.cs == 1) {
-        (true, _) => WIDE_NR,
-        (false, true) => n,
-        (false, false) => (panel.len() / k.min(KC)).clamp(1, n),
-    };
-    for j0 in (0..n).step_by(block) {
-        let w = block.min(n - j0);
-        let direct = b.cs == 1 && (w == WIDE_NR || !tiled);
+    let mut panel = [0.0f64; KC * NB_MAX];
+    for j0 in (0..n).step_by(NB) {
+        let w = NB.min(n - j0);
+        let direct = b.cs == 1 && w == NB;
         let depth = if direct { k } else { KC };
         for t0 in (0..k).step_by(depth) {
             let kc = depth.min(k - t0);
-            // Row `t` of `bp` (stride `bs`) is `b`'s row `t0 + t` from
-            // column `j0` on.
             let (bp, bs) = if direct {
                 (&b.data[t0 * b.rs + j0..], b.rs)
             } else {
-                let stride = if tiled { WIDE_NR } else { w };
-                for (t, prow) in panel.chunks_exact_mut(stride).enumerate().take(kc) {
-                    for (c, v) in prow.iter_mut().enumerate() {
-                        *v = if c < w { b.at(t0 + t, j0 + c) } else { 0.0 };
-                    }
-                }
-                (&panel[..], stride)
+                stage(b, t0, (j0, w), NB, &mut panel[..kc * NB]);
+                (&panel[..kc * NB], NB)
             };
-            if tiled {
-                let args = (a, (bp, bs), kc, (n, w), (row0, t0, j0));
-                match (t0 > 0, w == WIDE_NR) {
-                    (false, true) => wide_tiles::<false, true>(args, out),
-                    (false, false) => wide_tiles::<false, false>(args, out),
-                    (true, true) => wide_tiles::<true, true>(args, out),
-                    (true, false) => wide_tiles::<true, false>(args, out),
+            let mut r0 = 0;
+            while r0 < rows {
+                let left = rows - r0;
+                let at = (row0 + r0, t0, kc);
+                let block = ((bp, bs), (n, j0, w));
+                let out = &mut out[r0 * n..];
+                // Whole tiles, then halving tiles for the rows left over;
+                // each combination compiles apart, so the common one (first
+                // slice, whole block, whole tile) keeps its accumulators in
+                // registers.
+                macro_rules! run {
+                    ($r:expr) => {{
+                        match (t0 > 0, w == NB) {
+                            (false, true) => tile::<{ $r }, NB, SKIP, false, true>(a, at, block, out),
+                            (false, false) => tile::<{ $r }, NB, SKIP, false, false>(a, at, block, out),
+                            (true, true) => tile::<{ $r }, NB, SKIP, true, true>(a, at, block, out),
+                            (true, false) => tile::<{ $r }, NB, SKIP, true, false>(a, at, block, out),
+                        }
+                        r0 += $r;
+                    }};
                 }
+                match left {
+                    _ if left >= R => run!(R),
+                    4.. => run!(4),
+                    2.. => run!(2),
+                    _ => run!(1),
+                }
+            }
+        }
+    }
+}
+
+/// One `R`-row tile of [`tiles`] over one column block and one slice of
+/// `k`: `at` is `(i0, t0, kc)` (the tile's first absolute row, where the
+/// slice starts and its depth), `block` is `((bp, bs), (n, j0, w))` (`b`'s
+/// rows, row `t` at `bp[t * bs..][..NB]`; the output's width, where the
+/// block starts and its real columns). With `LOAD` the accumulators start
+/// from the partial sums an earlier slice left in `out`; `FULL` says the
+/// block is `NB` wide, which gives every copy in or out of the
+/// accumulators a fixed length and keeps them in registers.
+#[inline(never)]
+fn tile<const R: usize, const NB: usize, const SKIP: bool, const LOAD: bool, const FULL: bool>(
+    a: Strided,
+    (i0, t0, kc): (usize, usize, usize),
+    ((bp, bs), (n, j0, w)): ((&[f64], usize), (usize, usize, usize)),
+    out: &mut [f64],
+) {
+    let w = if FULL { NB } else { w };
+    let mut acc = [[0.0f64; NB]; R];
+    if LOAD {
+        for (r, accr) in acc.iter_mut().enumerate() {
+            accr[..w].copy_from_slice(&out[r * n + j0..][..w]);
+        }
+    }
+    for t in 0..kc {
+        let brow = &bp[t * bs..][..NB];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av = a.at(i0 + r, t0 + t);
+            if SKIP && av == 0.0 { // lint:allow(float-hygiene): exact-zero sparsity skip, any other value must multiply
                 continue;
             }
+            for (s, &bv) in accr.iter_mut().zip(brow) {
+                *s = av.mul_add(bv, *s);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        out[r * n + j0..][..w].copy_from_slice(&accr[..w]);
+    }
+}
+
+/// Small wide worker of [`product`]: each output row accumulates in place,
+/// one `a` element times one `b` row at a time, leaving out exact-zero `a`
+/// terms. A transposed `b` is staged in blocks of as many columns as the
+/// panel holds at depth `min(k,` [`KC`]`)`.
+fn ikj_rows(a: Strided, b: Strided, (k, n): (usize, usize), row0: usize, out: &mut [f64]) {
+    let rows = out.len() / n;
+    let mut panel = [0.0f64; KC * NB_MAX];
+    let (block, depth) = if b.cs == 1 { (n, k) } else { ((panel.len() / k.min(KC)).clamp(1, n), KC) };
+    for j0 in (0..n).step_by(block) {
+        let w = block.min(n - j0);
+        for t0 in (0..k).step_by(depth) {
+            let kc = depth.min(k - t0);
+            let (bp, bs) = if b.cs == 1 {
+                (&b.data[..], b.rs)
+            } else {
+                stage(b, t0, (j0, w), w, &mut panel[..kc * w]);
+                (&panel[..kc * w], w)
+            };
             for r in 0..rows {
-                let seg = &mut out[r * n + j0..r * n + j0 + w];
+                let seg = &mut out[r * n + j0..][..w];
                 if t0 == 0 {
                     seg.fill(0.0);
                 }
@@ -615,65 +611,12 @@ fn wide_rows(a: Strided, b: Strided, k: usize, n: usize, tiled: bool, row0: usiz
                     if av == 0.0 { // lint:allow(float-hygiene): exact-zero sparsity skip, any other value must multiply
                         continue;
                     }
-                    for (o, &bv) in seg.iter_mut().zip(&bp[t * bs..t * bs + w]) {
+                    for (o, &bv) in seg.iter_mut().zip(&bp[t * bs..][..w]) {
                         *o = av.mul_add(bv, *o);
                     }
                 }
             }
         }
-    }
-}
-
-/// Arguments of [`wide_tiles`]: `a`, `b`'s rows as `(bp, bs)` (row `t` of
-/// the slice at `bp[t * bs..][..WIDE_NR]`), the slice depth `kc`, `(n, w)`
-/// (the output's width and the block's real columns) and
-/// `(row0, t0, j0)` (where the rows, the slice of `k` and the block start).
-type TileArgs<'a> = (Strided<'a>, (&'a [f64], usize), usize, (usize, usize), (usize, usize, usize));
-
-/// The [`WIDE_MR`]×[`WIDE_NR`] register tiles of [`wide_rows`] over one
-/// column block and one slice of `k`; with `LOAD` the accumulators start
-/// from the partial sums an earlier slice left in `out`, and `FULL` says
-/// the block is [`WIDE_NR`] wide. Each combination compiles apart, so the
-/// common one (first slice, whole block) keeps its accumulators in
-/// registers.
-#[inline(never)]
-fn wide_tiles<const LOAD: bool, const FULL: bool>((a, (bp, bs), kc, (n, w), (row0, t0, j0)): TileArgs, out: &mut [f64]) {
-    let rows = out.len() / n;
-    let mut r0 = 0;
-    while r0 < rows {
-        let mr = WIDE_MR.min(rows - r0);
-        // With `FULL` every copy in or out of `acc` has the fixed length
-        // `WIDE_NR`, which keeps it in registers; a ragged block (`w <
-        // WIDE_NR`, the last one of a row at most) copies `w` lanes.
-        let mut acc = [[0.0f64; WIDE_NR]; WIDE_MR];
-        if LOAD {
-            for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                let o = (r0 + r) * n + j0;
-                if FULL {
-                    accr.copy_from_slice(&out[o..o + WIDE_NR]);
-                } else {
-                    accr[..w].copy_from_slice(&out[o..o + w]);
-                }
-            }
-        }
-        for t in 0..kc {
-            let brow = &bp[t * bs..t * bs + WIDE_NR];
-            for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                let av = a.at(row0 + r0 + r, t0 + t);
-                for (s, &bv) in accr.iter_mut().zip(brow.iter()) {
-                    *s = av.mul_add(bv, *s);
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate().take(mr) {
-            let o = (r0 + r) * n + j0;
-            if FULL {
-                out[o..o + WIDE_NR].copy_from_slice(accr);
-            } else {
-                out[o..o + w].copy_from_slice(&accr[..w]);
-            }
-        }
-        r0 += mr;
     }
 }
 

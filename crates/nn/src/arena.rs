@@ -212,23 +212,35 @@ impl TrainArena {
                 }
             }
             if let (Some(d), Some(rng)) = (&mut layer.drop, dropout.as_deref_mut()) {
-                // Draw from a local copy of the generator and build each
-                // word in a local, so neither round-trips through memory
-                // per unit.
+                // First the mask words, from a local copy of the generator
+                // in a loop that does nothing else; then the masked output,
+                // in a loop the compiler vectorizes.
+                let (threshold, scale) = (d.threshold, d.scale);
                 let mut draws = rng.clone();
-                let units = out.chunks_exact(layer.n).zip(d.masked.chunks_exact_mut(layer.n));
-                for ((y, masked), bits) in units.zip(d.bits.chunks_exact_mut(d.words)) {
-                    for ((yw, mw), word) in y.chunks(64).zip(masked.chunks_mut(64)).zip(bits) {
-                        let mut w = 0u64;
-                        for (c, (&v, m)) in yw.iter().zip(mw).enumerate() {
-                            let kept = (draws.next_u64() >> 11) < d.threshold;
-                            w |= (kept as u64) << c;
-                            *m = v * if kept { d.scale } else { 0.0 };
-                        }
-                        *word = w;
+                let mut draw_word = |units: usize| {
+                    let mut w = 0u64;
+                    for c in 0..units {
+                        w |= (((draws.next_u64() >> 11) < threshold) as u64) << c;
+                    }
+                    w
+                };
+                for word_row in d.bits[..rows * d.words].chunks_exact_mut(d.words) {
+                    for (wi, word) in word_row.iter_mut().enumerate() {
+                        *word = match layer.n - wi * 64 {
+                            64.. => draw_word(64),
+                            units => draw_word(units),
+                        };
                     }
                 }
                 *rng = draws;
+                let units = out.chunks_exact(layer.n).zip(d.masked.chunks_exact_mut(layer.n));
+                for ((y, masked), bits) in units.zip(d.bits.chunks_exact(d.words)) {
+                    for ((yw, mw), &word) in y.chunks(64).zip(masked.chunks_mut(64)).zip(bits) {
+                        for (c, (&v, m)) in yw.iter().zip(mw).enumerate() {
+                            *m = v * if (word >> c) & 1 != 0 { scale } else { 0.0 };
+                        }
+                    }
+                }
             }
         }
         Ok(self.output())
@@ -266,22 +278,28 @@ impl TrainArena {
             let g = &mut self.g[..rows * n];
             let act = model.dense[l].activation;
             let y = &layer.out[..rows * n];
-            match layer.drop.as_ref().filter(|_| self.dropped) {
-                Some(d) => {
+            // `(g * m) * f'(y)`, with the activation matched once per
+            // layer. The output layer is the identity with no dropout after
+            // it, and its `g * 1.0` changes no bit, so it is left out.
+            let tanh = Activation::Tanh;
+            match (act, layer.drop.as_ref().filter(|_| self.dropped)) {
+                (Activation::Tanh, Some(d)) => {
+                    let scale = d.scale;
                     for ((grow, yrow), bits) in g.chunks_exact_mut(n).zip(y.chunks_exact(n)).zip(d.bits.chunks_exact(d.words)) {
                         for ((gw, yw), &word) in grow.chunks_mut(64).zip(yrow.chunks(64)).zip(bits) {
                             for (c, (gv, &yv)) in gw.iter_mut().zip(yw).enumerate() {
-                                let m = if (word >> c) & 1 != 0 { d.scale } else { 0.0 };
-                                *gv = *gv * m * act.derivative(yv);
+                                let m = if (word >> c) & 1 != 0 { scale } else { 0.0 };
+                                *gv = *gv * m * tanh.derivative(yv);
                             }
                         }
                     }
                 }
-                None => {
+                (Activation::Tanh, None) => {
                     for (gv, &yv) in g.iter_mut().zip(y) {
-                        *gv *= act.derivative(yv);
+                        *gv *= tanh.derivative(yv);
                     }
                 }
+                (Activation::Identity, _) => {}
             }
             let input = match done.last() {
                 None => &self.x[..rows * k],
