@@ -10,8 +10,6 @@
 //! workers. Results are bit-identical on every path and at every pool
 //! width.
 
-use std::sync::{Mutex, PoisonError};
-
 use crate::rng::Rng;
 use crate::{LinalgError, Result};
 
@@ -24,10 +22,6 @@ const GEMM_TILE_MIN_FLOPS: usize = 1 << 15;
 const GEMM_PAR_MIN_FLOPS: usize = 1 << 17;
 /// Target FLOPs per pool task (a whole number of output rows).
 const GEMM_CHUNK_FLOPS: usize = 1 << 16;
-/// Slots of the stack array that hands a split product's output windows
-/// to its pool tasks (a larger split shares slots), so a split allocates
-/// nothing.
-const GEMM_MAX_TASKS: usize = 32;
 
 /// Dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -423,23 +417,7 @@ fn product(a: Strided, b: Strided, (m, k, n): (usize, usize, usize), out: &mut [
         return;
     }
     let task_rows = (GEMM_CHUNK_FLOPS / (n * k)).clamp(1, m);
-    let tasks = m.div_ceil(task_rows);
-    // Task `t`'s window is handed out by slot `t / per_slot`, which holds
-    // `per_slot` consecutive windows; each task takes the next window of
-    // its slot, so every window is computed once, by one task.
-    let per_slot = tasks.div_ceil(GEMM_MAX_TASKS);
-    let mut groups = out.chunks_mut(per_slot * task_rows * n);
-    let slots: [Mutex<_>; GEMM_MAX_TASKS] = std::array::from_fn(|_| {
-        Mutex::new(groups.next().unwrap_or_default().chunks_mut(task_rows * n).enumerate())
-    });
-    le_pool::par_for_each(tasks, |t| {
-        let s = t / per_slot;
-        // A poisoned slot still hands out whole windows.
-        let window = slots[s].lock().unwrap_or_else(PoisonError::into_inner).next();
-        if let Some((i, rows)) = window {
-            kernel((s * per_slot + i) * task_rows, rows);
-        }
-    });
+    le_pool::par_for_chunks(out, task_rows * n, |start, rows| kernel(start / n, rows));
 }
 
 /// Stage `b`'s rows `t0..` and columns `j0..j0 + w` into `panel`, one
@@ -457,24 +435,7 @@ fn stage(b: Strided, t0: usize, (j0, w): (usize, usize), bs: usize, panel: &mut 
         if w < bs {
             panel.fill(0.0);
         }
-        // Four columns at a time as a 4×4 transpose, which vectorizes;
-        // the columns after the last whole four one at a time.
-        let (w4, kc4) = (w / 4 * 4, kc / 4 * 4);
-        for c in (0..w4).step_by(4) {
-            let cols: [&[f64]; 4] = std::array::from_fn(|i| &b.data[(j0 + c + i) * b.cs + t0..][..kc]);
-            for t in (0..kc4).step_by(4) {
-                let q: [[f64; 4]; 4] = std::array::from_fn(|i| std::array::from_fn(|u| cols[i][t + u]));
-                for u in 0..4 {
-                    panel[(t + u) * bs + c..][..4].copy_from_slice(&[q[0][u], q[1][u], q[2][u], q[3][u]]);
-                }
-            }
-            for t in kc4..kc {
-                for (i, col) in cols.iter().enumerate() {
-                    panel[t * bs + c + i] = col[t];
-                }
-            }
-        }
-        for c in w4..w {
+        for c in 0..w {
             let col = &b.data[(j0 + c) * b.cs + t0..][..kc];
             for (prow, &v) in panel.chunks_exact_mut(bs).zip(col) {
                 prow[c] = v;
@@ -701,7 +662,7 @@ mod tests {
             (30, 45, 70),
             (256, 64, 48),
             (300, 64, 7),             // narrow and pool-dispatched
-            (1100, 64, 64),           // more pool tasks than window slots
+            (1100, 64, 64),           // more pool tasks than chunk slots
             // Narrow heads (n ≤ 8) at row counts off every row tile,
             // below the cut, above it, and pool-dispatched.
             (1, 64, 1),
@@ -778,10 +739,21 @@ mod tests {
     #[test]
     fn a_zero_activation_skips_an_infinite_weight() {
         // Dropout zeroes an activation; the weight it would meet is
-        // infinite. Below the tiled cut the product leaves that term out,
-        // so each output is the chain of the other terms, not NaN.
+        // infinite. Narrow products at every size (below the tiled cut,
+        // past it and pool-split) and wide ones below the cut leave that
+        // term out, so each output is the chain of the other terms, not
+        // NaN.
         let mut rng = Rng::new(17);
-        for &(m, k, n) in &[(7usize, 64usize, 1usize), (13, 64, 3), (6, 9, 5), (9, 64, 8), (3, 40, 20)] {
+        for &(m, k, n) in &[
+            (7usize, 64usize, 1usize),
+            (13, 64, 3),
+            (6, 9, 5),
+            (9, 64, 8),
+            (3, 40, 20),
+            (171, 64, 3),  // narrow, past the tiled cut
+            (1031, 64, 3), // narrow, pool-split
+            (259, 64, 8),
+        ] {
             let mut a = Matrix::he_uniform(m, k, k, &mut rng);
             let mut b = Matrix::he_uniform(k, n, k, &mut rng);
             for i in 0..m {

@@ -60,22 +60,6 @@ impl OptimizerState {
         let t = self.t.max(1) as i32;
         let bc1 = 1.0 - BETA1.powi(t);
         let bc2 = 1.0 - BETA2.powi(t);
-        // From step 356 on `BETA1^t ≤ 2^-54`, so `bc1` rounds to exactly
-        // 1.0 (it is never above it) and `m / bc1` is `m` to the bit: the
-        // loop drops that division, a quarter of its divider work.
-        if bc1 >= 1.0 {
-            self.update_loop(params, grads, block, |m| m, bc2);
-        } else {
-            self.update_loop(params, grads, block, |m| m / bc1, bc2);
-        }
-    }
-
-    /// The update loop of [`OptimizerState::update_slice`], with the first
-    /// moment's bias correction `m_hat`.
-    #[inline(always)]
-    fn update_loop(&mut self, params: &mut [f64], grads: &[f64], block: usize, m_hat: impl Fn(f64) -> f64, bc2: f64) {
-        let lr = self.lr;
-        let state = &mut self.blocks[block];
         for (((p, &g), m), v) in params
             .iter_mut()
             .zip(grads.iter())
@@ -84,9 +68,9 @@ impl OptimizerState {
         {
             *m = BETA1 * *m + (1.0 - BETA1) * g;
             *v = BETA2 * *v + (1.0 - BETA2) * g * g;
-            let m_hat = m_hat(*m);
+            let m_hat = *m / bc1;
             let v_hat = *v / bc2;
-            *p -= lr * m_hat / (v_hat.sqrt() + EPS);
+            *p -= self.lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 }
@@ -116,29 +100,6 @@ mod tests {
         state.begin_step();
         state.update_slice(0, &mut x, &[5.0]);
         assert!((x[0].abs() - 0.01).abs() < 1e-6, "step {}", x[0]);
-    }
-
-    #[test]
-    fn every_step_matches_the_textbook_update_bitwise() {
-        // Past step 355 the first moment's correction is exactly 1.0 and
-        // its division is left out; each step still equals the update
-        // that divides, to the bit.
-        let lr = 1e-3;
-        let mut state = OptimizerState::new(lr, 1);
-        let mut x = [0.3f64, -1.2, 5e-3];
-        let (mut want, mut m, mut v) = (x, [0.0f64; 3], [0.0f64; 3]);
-        for t in 1..=400i32 {
-            let g: Vec<f64> = (0..3).map(|i| (t as f64 * 0.37 + i as f64).sin()).collect();
-            state.begin_step();
-            state.update_slice(0, &mut x, &g);
-            let (bc1, bc2) = (1.0 - BETA1.powi(t), 1.0 - BETA2.powi(t));
-            for i in 0..3 {
-                m[i] = BETA1 * m[i] + (1.0 - BETA1) * g[i];
-                v[i] = BETA2 * v[i] + (1.0 - BETA2) * g[i] * g[i];
-                want[i] -= lr * (m[i] / bc1) / ((v[i] / bc2).sqrt() + EPS);
-                assert_eq!(x[i].to_bits(), want[i].to_bits(), "step {t} parameter {i}");
-            }
-        }
     }
 
     #[test]

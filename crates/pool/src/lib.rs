@@ -97,6 +97,11 @@ type Job = &'static (dyn Fn() + Sync);
 /// `pool.task` trace event structure — must not depend on the thread count.
 pub const MAP_CHUNKS: usize = 32;
 
+/// Slots of the stack array through which `par_for_chunks` hands chunks
+/// to its tasks; a call with more chunks shares slots, so a call never
+/// allocates.
+const CHUNK_SLOTS: usize = 32;
+
 thread_local! {
     /// True while this thread is executing inside a pool job (worker or
     /// participating dispatcher). Used to run nested parallel calls inline.
@@ -490,22 +495,29 @@ impl Pool {
     /// Split `data` into consecutive chunks of `chunk_len` elements (last
     /// chunk may be shorter) and run `f(start_index, chunk)` on each in
     /// parallel, one task per chunk. The decomposition depends only on
-    /// `data.len()` and `chunk_len`, never on the thread count.
+    /// `data.len()` and `chunk_len`, never on the thread count, and the
+    /// call allocates nothing.
     pub fn par_for_chunks<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
         let chunk_len = chunk_len.max(1);
-        // Hand each task its chunk through a take-once slot; `&mut`
-        // disjointness is guaranteed by `chunks_mut`.
-        let slots: Vec<Mutex<Option<&mut [T]>>> = data
-            .chunks_mut(chunk_len)
-            .map(|chunk| Mutex::new(Some(chunk)))
-            .collect();
-        self.par_for_each(slots.len(), |c| {
-            if let Some(chunk) = relock(slots[c].lock()).take() {
-                f(c * chunk_len, chunk);
+        let tasks = data.len().div_ceil(chunk_len);
+        // Slot `s` holds `per_slot` consecutive chunks and task `t` takes
+        // the next chunk of slot `t / per_slot`, so every chunk runs once,
+        // by one task (chunk `t` itself when there are at most
+        // `CHUNK_SLOTS` chunks); `&mut` disjointness comes from
+        // `chunks_mut`.
+        let per_slot = tasks.div_ceil(CHUNK_SLOTS).max(1);
+        let mut groups = data.chunks_mut(per_slot * chunk_len);
+        let slots: [Mutex<_>; CHUNK_SLOTS] = std::array::from_fn(|_| {
+            Mutex::new(groups.next().unwrap_or_default().chunks_mut(chunk_len).enumerate())
+        });
+        self.par_for_each(tasks, |t| {
+            let s = t / per_slot;
+            if let Some((i, chunk)) = relock(slots[s].lock()).next() {
+                f((s * per_slot + i) * chunk_len, chunk);
             }
         });
     }
@@ -653,6 +665,15 @@ mod tests {
             }
         });
         let seq: Vec<usize> = (0..103).collect();
+        assert_eq!(data, seq);
+        // More chunks than slots: slots share chunks, each still runs once.
+        let mut data = vec![0usize; 1000];
+        pool.par_for_chunks(&mut data, 7, |start, chunk| {
+            for (k, x) in chunk.iter_mut().enumerate() {
+                *x += start + k;
+            }
+        });
+        let seq: Vec<usize> = (0..1000).collect();
         assert_eq!(data, seq);
     }
 
